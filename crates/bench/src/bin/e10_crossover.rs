@@ -7,6 +7,7 @@
 use qrel_arith::BigRational;
 use qrel_bench::perf::BenchReport;
 use qrel_bench::{fmt_secs, random_kdnf, Table};
+use qrel_budget::Budget;
 use qrel_count::naive_mc::{naive_mc_probability_sharded, naive_mc_probability_with_samples};
 use qrel_count::{
     dnf_probability_bdd, dnf_probability_bitslice, dnf_probability_enum, dnf_probability_shannon,
@@ -93,11 +94,12 @@ fn main() {
     let mut t3 = Table::new(&["threads", "KL time", "KL speedup", "MC time", "MC speedup"]);
     let mut base: Option<(f64, f64, f64, f64)> = None;
     for threads in [1usize, 2, 4, 8] {
-        let (kl_rep, kl_secs) =
-            qrel_bench::timed(|| kl.run_sharded(samples, 0x10, DEFAULT_SHARDS, threads));
-        let (mc_est, mc_secs) = qrel_bench::timed(|| {
-            naive_mc_probability_sharded(&d, &probs, samples, 0x10, DEFAULT_SHARDS, threads)
+        let (kl_rep, kl_secs) = qrel_bench::timed(|| {
+            kl.run_budgeted(samples, &Budget::unlimited(), 0x10, threads)
+                .0
         });
+        let (mc_est, mc_secs) =
+            qrel_bench::timed(|| naive_mc_probability_sharded(&d, &probs, samples, 0x10, threads));
         let (kl_base_est, kl_base, mc_base_est, mc_base) =
             *base.get_or_insert((kl_rep.estimate, kl_secs, mc_est, mc_secs));
         assert_eq!(kl_rep.estimate.to_bits(), kl_base_est.to_bits());

@@ -6,6 +6,7 @@
 
 use qrel_arith::BigRational;
 use qrel_bench::{fmt_secs, random_kdnf, Table};
+use qrel_budget::Budget;
 use qrel_count::exact_dnf::dnf_count_models;
 use qrel_count::naive_mc::naive_mc_probability_with_samples;
 use qrel_count::{dnf_probability_shannon, KarpLuby};
@@ -98,8 +99,10 @@ fn main() {
     let mut table3 = Table::new(&["threads", "estimate", "time", "speedup", "bit-identical"]);
     let mut serial: Option<(f64, f64)> = None;
     for threads in [1usize, 2, 4, 8] {
-        let (report, secs) =
-            qrel_bench::timed(|| kl.run_sharded(samples, 0xE4, DEFAULT_SHARDS, threads));
+        let (report, secs) = qrel_bench::timed(|| {
+            kl.run_budgeted(samples, &Budget::unlimited(), 0xE4, threads)
+                .0
+        });
         let (base_est, base_secs) = *serial.get_or_insert((report.estimate, secs));
         table3.row(&[
             threads.to_string(),

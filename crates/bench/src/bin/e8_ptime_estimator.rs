@@ -132,15 +132,7 @@ fn main() {
     for threads in [1usize, 2, 4, 8] {
         let (rep, secs) = qrel_bench::timed(|| {
             padding
-                .estimate_probability_sharded(
-                    &ud,
-                    &reach,
-                    eps,
-                    delta,
-                    0xE8,
-                    DEFAULT_SHARDS,
-                    threads,
-                )
+                .estimate_probability_sharded(&ud, &reach, eps, delta, 0xE8, threads)
                 .unwrap()
         });
         let (base_est, base_secs) = *serial.get_or_insert((rep.estimate, secs));

@@ -15,7 +15,7 @@
 use qrel_arith::{BigInt, BigRational, BigUint};
 use qrel_budget::{Budget, Exhausted, Resource};
 use qrel_eval::{EvalError, Query};
-use qrel_par::{run_shards, run_shards_with, shard_ranges, DEFAULT_SHARDS};
+use qrel_par::{run_settled, shard_ranges, DEFAULT_SHARDS};
 use qrel_prob::normalizer::sound_g;
 use qrel_prob::UnreliableDatabase;
 
@@ -95,52 +95,6 @@ pub fn exact_probability(
     }
 }
 
-/// Parallel [`exact_probability`]: the Gray-code world sequence
-/// `[0, 2^u)` is tiled into [`DEFAULT_SHARDS`] contiguous ranges, each
-/// enumerated by [`UnreliableDatabase::visit_worlds_range`] on its own
-/// worker, and the exact rational partial sums are merged in shard
-/// order. Rational addition is associative and the merge order is
-/// fixed, so the result is *identical* (not just bit-close) to the
-/// serial sweep for every thread count.
-pub fn exact_probability_parallel(
-    ud: &UnreliableDatabase,
-    query: &(dyn Query + Sync),
-    threads: usize,
-) -> Result<BigRational, EvalError> {
-    assert_eq!(
-        query.arity(),
-        0,
-        "exact_probability requires a Boolean query"
-    );
-    let total = 1u64 << ud.uncertain_facts().len();
-    let ranges = shard_ranges(total, DEFAULT_SHARDS);
-    let parts = run_shards(DEFAULT_SHARDS, threads, |s| {
-        let (start, end) = ranges[s];
-        let mut p = BigRational::zero();
-        let mut failure: Option<EvalError> = None;
-        ud.visit_worlds_range(start, end, |world, prob| match query.eval(world, &[]) {
-            Ok(true) => {
-                p = p.add_ref(prob);
-                true
-            }
-            Ok(false) => true,
-            Err(e) => {
-                failure = Some(e);
-                false
-            }
-        });
-        (p, failure)
-    });
-    let mut p = BigRational::zero();
-    for (part, failure) in parts {
-        if let Some(e) = failure {
-            return Err(e);
-        }
-        p = p.add_ref(&part);
-    }
-    Ok(p)
-}
-
 /// Exact expected error and reliability for an arbitrary k-ary query.
 ///
 /// `H_ψ = Σ_𝔅 ν(𝔅) · |ψ^𝔄 Δ ψ^𝔅|`, evaluated with exact rationals.
@@ -195,151 +149,41 @@ pub fn exact_reliability(
     if let Some(e) = failure {
         return Err(e);
     }
+    Ok(report(ud, k, h, worlds))
+}
+
+/// The report for expected error `h` of a k-ary query:
+/// `R = 1 − H/n^k`, or `1` over an empty tuple space.
+fn report(ud: &UnreliableDatabase, k: usize, h: BigRational, worlds: u64) -> ExactReport {
     let total = BigRational::from_int(ud.observed().universe().tuple_count(k) as i64);
     let reliability = if total.is_zero() {
         BigRational::one()
     } else {
         h.div_ref(&total).one_minus()
     };
-    Ok(ExactReport {
+    ExactReport {
         expected_error: h,
         reliability,
         worlds,
-    })
+    }
 }
 
-/// [`exact_reliability`] under a cooperative [`Budget`]: one
-/// [`Resource::Worlds`] is charged per enumerated world, and the
-/// Gray-code traversal stops at the first trip, returning the exact
-/// partial sums instead of discarding the work done.
+/// [`exact_reliability`] under a cooperative [`Budget`], sharded over
+/// `threads` workers. One [`Resource::Worlds`] is charged per
+/// enumerated world, and a shard stops at its first trip, returning the
+/// exact partial sums instead of discarding the work done.
+///
+/// The Gray-code sequence `[0, 2^u)` is tiled into [`DEFAULT_SHARDS`]
+/// contiguous ranges. The parent budget is [`Budget::split`] into one
+/// child per shard, and the exact partial sums plus child spends are
+/// settled back in shard order. Rational addition is associative and
+/// counter caps divide deterministically across shards, so both a
+/// complete and a world-capped run are identical for every thread
+/// count; only wall-clock and cancellation trips remain
+/// scheduling-dependent. The first trip cause *in shard order* is
+/// reported.
 pub fn exact_reliability_budgeted(
     ud: &UnreliableDatabase,
-    query: &dyn Query,
-    budget: &Budget,
-) -> Result<ExactOutcome, EvalError> {
-    let observed_answers = query.answers(ud.observed())?;
-    let k = query.arity();
-    let mut h = BigRational::zero();
-    let mut mass = BigRational::zero();
-    let mut worlds = 0u64;
-    let mut failure: Option<EvalError> = None;
-    let mut cause: Option<Exhausted> = None;
-    ud.visit_worlds(|world, prob| {
-        if let Err(e) = budget.charge(Resource::Worlds, 1) {
-            cause = Some(e);
-            return false;
-        }
-        worlds += 1;
-        match query.answers(world) {
-            Ok(answers) => {
-                let diff = answers.difference(&observed_answers).len()
-                    + observed_answers.difference(&answers).len();
-                if diff > 0 {
-                    h = h.add_ref(&prob.mul_ref(&BigRational::from_int(diff as i64)));
-                }
-                mass = mass.add_ref(prob);
-                true
-            }
-            Err(e) => {
-                failure = Some(e);
-                false
-            }
-        }
-    });
-    if let Some(e) = failure {
-        return Err(e);
-    }
-    if let Some(cause) = cause {
-        return Ok(ExactOutcome::Exhausted {
-            partial_expected_error: h,
-            mass_visited: mass,
-            worlds,
-            cause,
-        });
-    }
-    let total = BigRational::from_int(ud.observed().universe().tuple_count(k) as i64);
-    let reliability = if total.is_zero() {
-        BigRational::one()
-    } else {
-        h.div_ref(&total).one_minus()
-    };
-    Ok(ExactOutcome::Complete(ExactReport {
-        expected_error: h,
-        reliability,
-        worlds,
-    }))
-}
-
-/// Parallel [`exact_reliability`]: shards the Gray-code sequence as
-/// [`exact_probability_parallel`] does and merges the exact per-shard
-/// error masses in shard order — identical to the serial result for
-/// every thread count.
-pub fn exact_reliability_parallel(
-    ud: &UnreliableDatabase,
-    query: &(dyn Query + Sync),
-    threads: usize,
-) -> Result<ExactReport, EvalError> {
-    let observed_answers = query.answers(ud.observed())?;
-    let k = query.arity();
-    let total = 1u64 << ud.uncertain_facts().len();
-    let ranges = shard_ranges(total, DEFAULT_SHARDS);
-    let parts = run_shards(DEFAULT_SHARDS, threads, |s| {
-        let (start, end) = ranges[s];
-        let mut h = BigRational::zero();
-        let mut worlds = 0u64;
-        let mut failure: Option<EvalError> = None;
-        ud.visit_worlds_range(start, end, |world, prob| {
-            worlds += 1;
-            match query.answers(world) {
-                Ok(answers) => {
-                    let diff = answers.difference(&observed_answers).len()
-                        + observed_answers.difference(&answers).len();
-                    if diff > 0 {
-                        h = h.add_ref(&prob.mul_ref(&BigRational::from_int(diff as i64)));
-                    }
-                    true
-                }
-                Err(e) => {
-                    failure = Some(e);
-                    false
-                }
-            }
-        });
-        (h, worlds, failure)
-    });
-    let mut h = BigRational::zero();
-    let mut worlds = 0u64;
-    for (part, w, failure) in parts {
-        if let Some(e) = failure {
-            return Err(e);
-        }
-        h = h.add_ref(&part);
-        worlds += w;
-    }
-    let total = BigRational::from_int(ud.observed().universe().tuple_count(k) as i64);
-    let reliability = if total.is_zero() {
-        BigRational::one()
-    } else {
-        h.div_ref(&total).one_minus()
-    };
-    Ok(ExactReport {
-        expected_error: h,
-        reliability,
-        worlds,
-    })
-}
-
-/// Parallel [`exact_reliability_budgeted`]: the parent budget is
-/// [`Budget::split`] into one child per shard (moved into the worker),
-/// each shard enumerates its Gray-code range until its share trips, and
-/// the exact partial sums plus child spends are settled back in shard
-/// order. Counter caps divide deterministically across shards, so a
-/// world-capped run returns bit-identical partial sums for every thread
-/// count; only wall-clock and cancellation trips remain
-/// scheduling-dependent (exactly as in the serial engine). The first
-/// trip cause *in shard order* is reported.
-pub fn exact_reliability_budgeted_sharded(
-    ud: &UnreliableDatabase,
     query: &(dyn Query + Sync),
     budget: &Budget,
     threads: usize,
@@ -348,53 +192,52 @@ pub fn exact_reliability_budgeted_sharded(
     let k = query.arity();
     let total = 1u64 << ud.uncertain_facts().len();
     let ranges = shard_ranges(total, DEFAULT_SHARDS);
-    let children = budget.split(DEFAULT_SHARDS);
-    let parts = run_shards_with(children, threads, |s, child: Budget| {
-        let (start, end) = ranges[s];
-        let mut h = BigRational::zero();
-        let mut mass = BigRational::zero();
-        let mut worlds = 0u64;
-        let mut failure: Option<EvalError> = None;
-        let mut cause: Option<Exhausted> = None;
-        ud.visit_worlds_range(start, end, |world, prob| {
-            if let Err(e) = child.charge(Resource::Worlds, 1) {
-                cause = Some(e);
-                return false;
-            }
-            worlds += 1;
-            match query.answers(world) {
-                Ok(answers) => {
-                    let diff = answers.difference(&observed_answers).len()
-                        + observed_answers.difference(&answers).len();
-                    if diff > 0 {
-                        h = h.add_ref(&prob.mul_ref(&BigRational::from_int(diff as i64)));
+    let (parts, first_cause) = run_settled(
+        budget.split(DEFAULT_SHARDS),
+        threads,
+        |child| budget.settle(child),
+        |s, child: &Budget| {
+            let (start, end) = ranges[s];
+            let mut h = BigRational::zero();
+            let mut mass = BigRational::zero();
+            let mut worlds = 0u64;
+            let mut failure: Option<EvalError> = None;
+            let mut cause: Option<Exhausted> = None;
+            ud.visit_worlds_range(start, end, |world, prob| {
+                if let Err(e) = child.charge(Resource::Worlds, 1) {
+                    cause = Some(e);
+                    return false;
+                }
+                worlds += 1;
+                match query.answers(world) {
+                    Ok(answers) => {
+                        let diff = answers.difference(&observed_answers).len()
+                            + observed_answers.difference(&answers).len();
+                        if diff > 0 {
+                            h = h.add_ref(&prob.mul_ref(&BigRational::from_int(diff as i64)));
+                        }
+                        mass = mass.add_ref(prob);
+                        true
                     }
-                    mass = mass.add_ref(prob);
-                    true
+                    Err(e) => {
+                        failure = Some(e);
+                        false
+                    }
                 }
-                Err(e) => {
-                    failure = Some(e);
-                    false
-                }
-            }
-        });
-        (h, mass, worlds, failure, cause, child)
-    });
+            });
+            ((h, mass, worlds, failure), cause)
+        },
+    );
     let mut h = BigRational::zero();
     let mut mass = BigRational::zero();
     let mut worlds = 0u64;
-    let mut first_cause: Option<Exhausted> = None;
     let mut first_failure: Option<EvalError> = None;
-    for (part_h, part_mass, part_worlds, failure, cause, child) in parts {
-        budget.settle(&child);
+    for (part_h, part_mass, part_worlds, failure) in parts {
         h = h.add_ref(&part_h);
         mass = mass.add_ref(&part_mass);
         worlds += part_worlds;
         if first_failure.is_none() {
             first_failure = failure;
-        }
-        if first_cause.is_none() {
-            first_cause = cause;
         }
     }
     if let Some(e) = first_failure {
@@ -408,17 +251,7 @@ pub fn exact_reliability_budgeted_sharded(
             cause,
         });
     }
-    let total = BigRational::from_int(ud.observed().universe().tuple_count(k) as i64);
-    let reliability = if total.is_zero() {
-        BigRational::one()
-    } else {
-        h.div_ref(&total).one_minus()
-    };
-    Ok(ExactOutcome::Complete(ExactReport {
-        expected_error: h,
-        reliability,
-        worlds,
-    }))
+    Ok(ExactOutcome::Complete(report(ud, k, h, worlds)))
 }
 
 /// Exact per-tuple answer marginals: for every `ā ∈ A^k`, the probability
@@ -633,7 +466,7 @@ mod tests {
         let q = FoQuery::parse("exists x. S(x)").unwrap();
         let full = exact_reliability(&ud, &q).unwrap();
         let outcome =
-            exact_reliability_budgeted(&ud, &q, &qrel_budget::Budget::unlimited()).unwrap();
+            exact_reliability_budgeted(&ud, &q, &qrel_budget::Budget::unlimited(), 1).unwrap();
         assert_eq!(outcome, ExactOutcome::Complete(full));
     }
 
@@ -648,7 +481,7 @@ mod tests {
         ud.set_error(&Fact::new(0, vec![1]), r(1, 4)).unwrap();
         let q = FoQuery::parse("exists x. S(x)").unwrap();
         let budget = qrel_budget::Budget::unlimited().with_max_worlds(2);
-        let outcome = exact_reliability_budgeted(&ud, &q, &budget).unwrap();
+        let outcome = exact_reliability_budgeted(&ud, &q, &budget, 1).unwrap();
         match outcome {
             ExactOutcome::Exhausted {
                 partial_expected_error,
@@ -683,41 +516,17 @@ mod tests {
     }
 
     #[test]
-    fn parallel_probability_is_identical_to_serial() {
-        let ud = four_fact_db();
-        let q = FoQuery::parse("exists x. S(x)").unwrap();
-        let serial = exact_probability(&ud, &q).unwrap();
-        for threads in [1usize, 2, 4, 8] {
-            assert_eq!(
-                exact_probability_parallel(&ud, &q, threads).unwrap(),
-                serial
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_reliability_is_identical_to_serial() {
-        let ud = four_fact_db();
-        let q = FoQuery::parse("S(x)").unwrap();
-        let serial = exact_reliability(&ud, &q).unwrap();
-        for threads in [1usize, 2, 4, 8] {
-            assert_eq!(
-                exact_reliability_parallel(&ud, &q, threads).unwrap(),
-                serial
-            );
-        }
-    }
-
-    #[test]
     fn budgeted_sharded_complete_matches_serial_and_settles_spend() {
         let ud = four_fact_db();
-        let q = FoQuery::parse("exists x. S(x)").unwrap();
-        let serial = exact_reliability(&ud, &q).unwrap();
-        for threads in [1usize, 4] {
-            let budget = Budget::unlimited();
-            let outcome = exact_reliability_budgeted_sharded(&ud, &q, &budget, threads).unwrap();
-            assert_eq!(outcome, ExactOutcome::Complete(serial.clone()));
-            assert_eq!(budget.spent(Resource::Worlds), 16);
+        for src in ["exists x. S(x)", "S(x)"] {
+            let q = FoQuery::parse(src).unwrap();
+            let serial = exact_reliability(&ud, &q).unwrap();
+            for threads in [1usize, 2, 4, 8] {
+                let budget = Budget::unlimited();
+                let outcome = exact_reliability_budgeted(&ud, &q, &budget, threads).unwrap();
+                assert_eq!(outcome, ExactOutcome::Complete(serial.clone()), "{src}");
+                assert_eq!(budget.spent(Resource::Worlds), 16);
+            }
         }
     }
 
@@ -727,7 +536,7 @@ mod tests {
         let q = FoQuery::parse("exists x. S(x)").unwrap();
         let run = |threads: usize| {
             let budget = Budget::unlimited().with_max_worlds(10);
-            let outcome = exact_reliability_budgeted_sharded(&ud, &q, &budget, threads).unwrap();
+            let outcome = exact_reliability_budgeted(&ud, &q, &budget, threads).unwrap();
             (outcome, budget.spent(Resource::Worlds))
         };
         let (base_outcome, base_spent) = run(1);

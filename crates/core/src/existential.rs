@@ -17,10 +17,8 @@
 
 use crate::prob_dnf::ProbDnfReduction;
 use qrel_arith::BigRational;
-use qrel_budget::{Budget, Exhausted, QrelError};
-use qrel_count::{
-    dnf_probability_bitslice, dnf_probability_bitslice_sharded, dnf_probability_shannon, KarpLuby,
-};
+use qrel_budget::{Budget, QrelError};
+use qrel_count::{dnf_probability_bitslice, dnf_probability_shannon, KarpLuby};
 use qrel_eval::{ground_existential_budgeted, Grounding};
 use qrel_logic::Formula;
 use qrel_prob::UnreliableDatabase;
@@ -92,27 +90,6 @@ pub fn existential_probability_bitslice(
     Ok(dnf_probability_bitslice(&grounding.dnf, &probs))
 }
 
-/// Sharded [`existential_probability_bitslice`]: world blocks are split
-/// across `shards` lane-aligned ranges executed on `threads` workers,
-/// with exact partial sums merged in shard order — the result depends on
-/// `shards` only through nothing at all (exact addition is associative),
-/// and never on `threads`.
-pub fn existential_probability_bitslice_sharded(
-    ud: &UnreliableDatabase,
-    formula: &Formula,
-    shards: usize,
-    threads: usize,
-) -> Result<BigRational, QrelError> {
-    let (grounding, probs) =
-        ground_with_probabilities(ud, formula, &HashMap::new(), DEFAULT_MAX_TERMS)?;
-    Ok(dnf_probability_bitslice_sharded(
-        &grounding.dnf,
-        &probs,
-        shards,
-        threads,
-    ))
-}
-
 /// The Theorem 5.4 FPTRAS: estimate `ν(ψ)` for an existential sentence
 /// with relative error `ε` at confidence `1 − δ`.
 pub fn existential_probability_fptras<R: Rng>(
@@ -147,51 +124,6 @@ pub fn estimate_grounding<R: Rng>(
             Ok(red.estimate(eps, delta, rng))
         }
     }
-}
-
-/// Result of a budgeted FPTRAS run.
-#[derive(Debug, Clone)]
-pub struct FptrasReport {
-    /// The estimate of `ν(ψ)`, clamped to `[0, 1]`.
-    pub estimate: f64,
-    /// Samples actually drawn.
-    pub samples: u64,
-    /// Grounded DNF terms (the `m` of the sample bound).
-    pub terms: usize,
-    /// `Some(cause)` if the budget tripped mid-sampling — the estimate
-    /// then covers fewer samples and carries no `(ε, δ)` guarantee.
-    pub exhausted: Option<Exhausted>,
-}
-
-/// The Theorem 5.4 FPTRAS under a cooperative [`Budget`], always via the
-/// direct weighted Karp–Luby route. Grounding charges
-/// [`qrel_budget::Resource::Terms`] and sampling charges
-/// [`qrel_budget::Resource::Samples`]; a trip during *grounding* is a
-/// hard `Err` (no estimate exists yet), while a trip during *sampling*
-/// degrades to a partial estimate reported in [`FptrasReport`].
-pub fn existential_probability_fptras_budgeted<R: Rng>(
-    ud: &UnreliableDatabase,
-    formula: &Formula,
-    eps: f64,
-    delta: f64,
-    budget: &Budget,
-    rng: &mut R,
-) -> Result<FptrasReport, QrelError> {
-    let (grounding, probs) = ground_with_probabilities_budgeted(
-        ud,
-        formula,
-        &HashMap::new(),
-        DEFAULT_MAX_TERMS,
-        budget,
-    )?;
-    let kl = KarpLuby::new(&grounding.dnf, &probs);
-    let (report, exhausted) = kl.run_budgeted(kl.samples_for(eps, delta), budget, rng);
-    Ok(FptrasReport {
-        estimate: report.estimate.clamp(0.0, 1.0),
-        samples: report.samples,
-        terms: grounding.dnf.num_terms(),
-        exhausted,
-    })
 }
 
 #[cfg(test)]
@@ -243,8 +175,8 @@ mod tests {
     #[test]
     fn bitslice_matches_exact_bit_for_bit() {
         // The bit-sliced enumerator is a third independent exact path;
-        // serial and sharded variants must both reproduce the Shannon
-        // result structurally (gcd-normalized rationals compare equal).
+        // it must reproduce the Shannon result structurally
+        // (gcd-normalized rationals compare equal).
         let ud = setup();
         for src in [
             "exists x. S(x)",
@@ -259,13 +191,6 @@ mod tests {
                 exact,
                 "bitslice vs shannon, query {src}"
             );
-            for threads in [1usize, 4] {
-                assert_eq!(
-                    existential_probability_bitslice_sharded(&ud, &f, 16, threads).unwrap(),
-                    exact,
-                    "sharded bitslice, query {src}, threads {threads}"
-                );
-            }
         }
     }
 
@@ -330,29 +255,19 @@ mod tests {
     }
 
     #[test]
-    fn budgeted_fptras_degrades_on_sample_cap() {
-        use qrel_budget::Resource;
-        let ud = setup();
-        let f = parse_formula("exists x y. E(x,y) & S(x)").unwrap();
-        let budget = Budget::unlimited().with_max_samples(20);
-        let mut rng = StdRng::seed_from_u64(41);
-        let rep = existential_probability_fptras_budgeted(&ud, &f, 0.05, 0.02, &budget, &mut rng)
-            .unwrap();
-        let cause = rep.exhausted.expect("sample cap must trip");
-        assert_eq!(cause.resource, Resource::Samples);
-        assert_eq!(rep.samples, 20);
-        assert!((0.0..=1.0).contains(&rep.estimate));
-    }
-
-    #[test]
-    fn budgeted_fptras_hard_error_when_grounding_capped() {
+    fn budgeted_grounding_is_a_hard_error_when_terms_capped() {
         use qrel_budget::Resource;
         let ud = setup();
         let f = parse_formula("exists x y. E(x,y) & S(x)").unwrap();
         // One term of grounding budget: trips before any estimate exists.
         let budget = Budget::unlimited().with_max_terms(1);
-        let mut rng = StdRng::seed_from_u64(42);
-        match existential_probability_fptras_budgeted(&ud, &f, 0.1, 0.1, &budget, &mut rng) {
+        match ground_with_probabilities_budgeted(
+            &ud,
+            &f,
+            &HashMap::new(),
+            DEFAULT_MAX_TERMS,
+            &budget,
+        ) {
             Err(QrelError::BudgetExhausted(e)) => assert_eq!(e.resource, Resource::Terms),
             other => panic!("expected terms exhaustion, got {other:?}"),
         }

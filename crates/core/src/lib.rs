@@ -35,18 +35,15 @@ pub mod so_counting;
 
 pub use absolute::is_absolutely_reliable;
 pub use exact::{
-    exact_probability, exact_probability_parallel, exact_reliability, exact_reliability_budgeted,
-    exact_reliability_budgeted_sharded, exact_reliability_parallel, ExactOutcome, ExactReport,
+    exact_probability, exact_reliability, exact_reliability_budgeted, ExactOutcome, ExactReport,
 };
 pub use existential::{
-    existential_probability_bitslice, existential_probability_bitslice_sharded,
-    existential_probability_exact, existential_probability_fptras,
-    existential_probability_fptras_budgeted, FptrasReport, Route,
+    existential_probability_bitslice, existential_probability_exact,
+    existential_probability_fptras, Route,
 };
 pub use prob_dnf::ProbDnfReduction;
 pub use ptime_estimator::{PaddingEstimator, PaddingOutcome, PtimeEstimate};
 pub use quantifier_free::{qf_reliability, qf_reliability_budgeted, QfOutcome};
 pub use reliability_approx::{
-    approximate_reliability, approximate_reliability_budgeted,
-    approximate_reliability_budgeted_parallel, ApproxOutcome,
+    approximate_reliability, approximate_reliability_budgeted, ApproxOutcome,
 };

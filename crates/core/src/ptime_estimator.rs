@@ -26,7 +26,7 @@ use qrel_arith::BigRational;
 use qrel_budget::{Budget, Exhausted, Resource};
 use qrel_count::bounds::{hoeffding_samples, karp_luby_t};
 use qrel_eval::{EvalError, Query};
-use qrel_par::{run_shards, run_shards_with, shard_counts, split_seed};
+use qrel_par::{run_settled, run_shards, shard_counts, split_seed, DEFAULT_SHARDS};
 use qrel_prob::sampler::bernoulli;
 use qrel_prob::{UnreliableDatabase, WorldSampler};
 use rand::rngs::StdRng;
@@ -152,11 +152,10 @@ impl PaddingEstimator {
     }
 
     /// Sharded deterministic [`Self::estimate_probability`]: the Lemma
-    /// 5.11 sample count is cut into `shards` fixed pieces, each drawn on
-    /// an independent seed-split `StdRng` with its own [`WorldSampler`],
-    /// and the integer hit counts are merged exactly — the result depends
-    /// on `(eps, delta, seed, shards)` but never on `threads`.
-    #[allow(clippy::too_many_arguments)]
+    /// 5.11 sample count is cut into [`DEFAULT_SHARDS`] fixed pieces,
+    /// each drawn on an independent seed-split `StdRng` with its own
+    /// [`WorldSampler`], and the integer hit counts are merged exactly —
+    /// the result depends on `(eps, delta, seed)` but never on `threads`.
     pub fn estimate_probability_sharded(
         &self,
         ud: &UnreliableDatabase,
@@ -164,7 +163,6 @@ impl PaddingEstimator {
         eps: f64,
         delta: f64,
         seed: u64,
-        shards: usize,
         threads: usize,
     ) -> Result<PtimeEstimate, EvalError> {
         assert_eq!(
@@ -173,8 +171,8 @@ impl PaddingEstimator {
             "estimate_probability requires a Boolean query"
         );
         let t = self.samples_for(eps, delta);
-        let counts = shard_counts(t, shards);
-        let parts = run_shards(shards, threads, |s| {
+        let counts = shard_counts(t, DEFAULT_SHARDS);
+        let parts = run_shards(DEFAULT_SHARDS, threads, |s| {
             let mut rng = StdRng::seed_from_u64(split_seed(seed, s as u64));
             let sampler = WorldSampler::new(ud);
             let mut hits = 0u64;
@@ -272,193 +270,30 @@ pub enum PaddingOutcome {
 }
 
 impl PaddingEstimator {
-    /// [`Self::estimate_reliability_shared_worlds`] under a cooperative
+    /// Seeded, sharded reliability estimate under a cooperative
     /// [`Budget`]: each sampled world charges one [`Resource::Samples`],
     /// and on a trip the partial per-tuple means are de-biased and
     /// returned instead of being discarded.
-    pub fn estimate_reliability_budgeted<R: Rng>(
-        &self,
-        ud: &UnreliableDatabase,
-        query: &dyn Query,
-        eps: f64,
-        delta: f64,
-        budget: &Budget,
-        rng: &mut R,
-    ) -> Result<PaddingOutcome, EvalError> {
-        let k = query.arity();
-        let db = ud.observed();
-        let tuples: Vec<Vec<u32>> = db.universe().tuples(k).collect();
-        let nk = tuples.len().max(1);
-        let per_eps = (eps / nk as f64).max(1e-9);
-        let per_delta = (delta / nk as f64).min(0.5);
-        let sampler = WorldSampler::new(ud);
-        let t = self.samples_for(per_eps, per_delta);
-
-        let observed = query.answers(db)?;
-        let mut hits = vec![0u64; nk];
-        let mut drawn = 0u64;
-        let mut cause = None;
-        for _ in 0..t {
-            if let Err(e) = budget.charge(Resource::Samples, 1) {
-                cause = Some(e);
-                break;
-            }
-            let answers = query.answers(&sampler.sample(rng))?;
-            for (i, tuple) in tuples.iter().enumerate() {
-                let rc = bernoulli(&self.xi, rng);
-                let rd = bernoulli(&self.xi, rng);
-                let wrong = answers.contains(tuple) != observed.contains(tuple);
-                if rd && (rc || wrong) {
-                    hits[i] += 1;
-                }
-            }
-            drawn += 1;
-        }
-        let xi = self.xi.to_f64();
-        let mut h = 0.0f64;
-        for &count in &hits {
-            let mean = count as f64 / drawn.max(1) as f64;
-            h += ((mean - xi * xi) / (xi - xi * xi)).clamp(0.0, 1.0);
-        }
-        let reliability = (1.0 - h / nk as f64).clamp(0.0, 1.0);
-        match cause {
-            Some(cause) => Ok(PaddingOutcome::Exhausted {
-                partial_estimate: reliability,
-                samples: drawn,
-                cause,
-            }),
-            None => Ok(PaddingOutcome::Complete(PtimeEstimate {
-                estimate: reliability,
-                samples: drawn,
-                padded_mean: f64::NAN,
-            })),
-        }
-    }
-
-    /// Batched variant of [`Self::estimate_reliability`]: each sampled
-    /// world is evaluated *once* via [`Query::answers`] and reused for
-    /// every tuple, instead of drawing fresh worlds per tuple. The
-    /// per-tuple error estimators become correlated across tuples, but
-    /// each remains marginally a valid Lemma 5.11 estimator and the
-    /// union bound over per-tuple deviations does not require
+    ///
+    /// Unlike [`Self::estimate_reliability`], each sampled world is
+    /// evaluated *once* via [`Query::answers`] and reused for every
+    /// tuple. The per-tuple error estimators become correlated across
+    /// tuples, but each remains marginally a valid Lemma 5.11 estimator
+    /// and the union bound over per-tuple deviations does not require
     /// independence — so the `(ε, δ)` guarantee is preserved while the
     /// number of query evaluations drops from `n^k · t` to `t`.
-    pub fn estimate_reliability_shared_worlds<R: Rng>(
-        &self,
-        ud: &UnreliableDatabase,
-        query: &dyn Query,
-        eps: f64,
-        delta: f64,
-        rng: &mut R,
-    ) -> Result<PtimeEstimate, EvalError> {
-        let k = query.arity();
-        let db = ud.observed();
-        let tuples: Vec<Vec<u32>> = db.universe().tuples(k).collect();
-        let nk = tuples.len().max(1);
-        let per_eps = (eps / nk as f64).max(1e-9);
-        let per_delta = (delta / nk as f64).min(0.5);
-        let sampler = WorldSampler::new(ud);
-        let t = self.samples_for(per_eps, per_delta);
-
-        let observed = query.answers(db)?;
-        let mut hits = vec![0u64; nk];
-        for _ in 0..t {
-            // Padding coins are drawn independently per tuple (they are
-            // cheap); only the world — the expensive part — is shared.
-            let answers = query.answers(&sampler.sample(rng))?;
-            for (i, tuple) in tuples.iter().enumerate() {
-                let rc = bernoulli(&self.xi, rng);
-                let rd = bernoulli(&self.xi, rng);
-                let wrong = answers.contains(tuple) != observed.contains(tuple);
-                if rd && (rc || wrong) {
-                    hits[i] += 1;
-                }
-            }
-        }
-        let xi = self.xi.to_f64();
-        let mut h = 0.0f64;
-        for &count in &hits {
-            let mean = count as f64 / t as f64;
-            h += ((mean - xi * xi) / (xi - xi * xi)).clamp(0.0, 1.0);
-        }
-        Ok(PtimeEstimate {
-            estimate: 1.0 - h / nk as f64,
-            samples: t,
-            padded_mean: f64::NAN,
-        })
-    }
-
-    /// Sharded deterministic [`Self::estimate_reliability_shared_worlds`]:
-    /// each shard draws its fixed slice of the sample count on an
-    /// independent seed-split RNG, accumulating per-tuple integer hit
-    /// vectors that are merged element-wise — the de-biased reliability
-    /// depends on `(eps, delta, seed, shards)` but never on `threads`.
+    ///
+    /// The sample count is cut into [`DEFAULT_SHARDS`] fixed pieces,
+    /// each drawn on an independent seed-split RNG against its own child
+    /// of the [`Budget::split`] parent; per-tuple hit vectors merge
+    /// element-wise and the children settle back in shard order. A
+    /// sample-capped run therefore draws exactly the capped number of
+    /// worlds and returns a bit-identical estimate for every thread
+    /// count (wall-clock and cancellation trips remain
+    /// scheduling-dependent). The first trip cause *in shard order* is
+    /// reported.
     #[allow(clippy::too_many_arguments)]
-    pub fn estimate_reliability_sharded(
-        &self,
-        ud: &UnreliableDatabase,
-        query: &(dyn Query + Sync),
-        eps: f64,
-        delta: f64,
-        seed: u64,
-        shards: usize,
-        threads: usize,
-    ) -> Result<PtimeEstimate, EvalError> {
-        let k = query.arity();
-        let db = ud.observed();
-        let tuples: Vec<Vec<u32>> = db.universe().tuples(k).collect();
-        let nk = tuples.len().max(1);
-        let per_eps = (eps / nk as f64).max(1e-9);
-        let per_delta = (delta / nk as f64).min(0.5);
-        let t = self.samples_for(per_eps, per_delta);
-        let counts = shard_counts(t, shards);
-
-        let observed = query.answers(db)?;
-        let parts = run_shards(shards, threads, |s| {
-            let mut rng = StdRng::seed_from_u64(split_seed(seed, s as u64));
-            let sampler = WorldSampler::new(ud);
-            let mut hits = vec![0u64; nk];
-            for _ in 0..counts[s] {
-                let answers = query.answers(&sampler.sample(&mut rng))?;
-                for (i, tuple) in tuples.iter().enumerate() {
-                    let rc = bernoulli(&self.xi, &mut rng);
-                    let rd = bernoulli(&self.xi, &mut rng);
-                    let wrong = answers.contains(tuple) != observed.contains(tuple);
-                    if rd && (rc || wrong) {
-                        hits[i] += 1;
-                    }
-                }
-            }
-            Ok::<Vec<u64>, EvalError>(hits)
-        });
-        let mut hits = vec![0u64; nk];
-        for part in parts {
-            for (slot, shard_hits) in hits.iter_mut().zip(part?) {
-                *slot += shard_hits;
-            }
-        }
-        let xi = self.xi.to_f64();
-        let mut h = 0.0f64;
-        for &count in &hits {
-            let mean = count as f64 / t as f64;
-            h += ((mean - xi * xi) / (xi - xi * xi)).clamp(0.0, 1.0);
-        }
-        Ok(PtimeEstimate {
-            estimate: 1.0 - h / nk as f64,
-            samples: t,
-            padded_mean: f64::NAN,
-        })
-    }
-
-    /// Sharded [`Self::estimate_reliability_budgeted`]: the parent budget
-    /// is [`Budget::split`] across the shards and settled back in shard
-    /// order, so a sample-capped run draws exactly the capped number of
-    /// worlds and returns a bit-identical partial estimate for every
-    /// thread count (wall-clock and cancellation trips remain
-    /// scheduling-dependent, as in the serial engine). The first trip
-    /// cause *in shard order* is reported.
-    #[allow(clippy::too_many_arguments)]
-    pub fn estimate_reliability_budgeted_sharded(
+    pub fn estimate_reliability_budgeted(
         &self,
         ud: &UnreliableDatabase,
         query: &(dyn Query + Sync),
@@ -466,7 +301,6 @@ impl PaddingEstimator {
         delta: f64,
         budget: &Budget,
         seed: u64,
-        shards: usize,
         threads: usize,
     ) -> Result<PaddingOutcome, EvalError> {
         let k = query.arity();
@@ -476,50 +310,51 @@ impl PaddingEstimator {
         let per_eps = (eps / nk as f64).max(1e-9);
         let per_delta = (delta / nk as f64).min(0.5);
         let t = self.samples_for(per_eps, per_delta);
-        let counts = shard_counts(t, shards);
+        let counts = shard_counts(t, DEFAULT_SHARDS);
 
         let observed = query.answers(db)?;
-        let children = budget.split(shards);
-        let parts = run_shards_with(children, threads, |s, child: Budget| {
-            let mut rng = StdRng::seed_from_u64(split_seed(seed, s as u64));
-            let sampler = WorldSampler::new(ud);
-            let mut hits = vec![0u64; nk];
-            let mut drawn = 0u64;
-            let mut cause = None;
-            for _ in 0..counts[s] {
-                if let Err(e) = child.charge(Resource::Samples, 1) {
-                    cause = Some(e);
-                    break;
-                }
-                let answers = match query.answers(&sampler.sample(&mut rng)) {
-                    Ok(a) => a,
-                    Err(e) => return (hits, drawn, cause, Some(e), child),
-                };
-                for (i, tuple) in tuples.iter().enumerate() {
-                    let rc = bernoulli(&self.xi, &mut rng);
-                    let rd = bernoulli(&self.xi, &mut rng);
-                    let wrong = answers.contains(tuple) != observed.contains(tuple);
-                    if rd && (rc || wrong) {
-                        hits[i] += 1;
+        let (parts, first_cause) = run_settled(
+            budget.split(DEFAULT_SHARDS),
+            threads,
+            |child| budget.settle(child),
+            |s, child: &Budget| {
+                let mut rng = StdRng::seed_from_u64(split_seed(seed, s as u64));
+                let sampler = WorldSampler::new(ud);
+                let mut hits = vec![0u64; nk];
+                let mut drawn = 0u64;
+                let mut cause = None;
+                for _ in 0..counts[s] {
+                    if let Err(e) = child.charge(Resource::Samples, 1) {
+                        cause = Some(e);
+                        break;
                     }
+                    let answers = match query.answers(&sampler.sample(&mut rng)) {
+                        Ok(a) => a,
+                        Err(e) => return ((hits, drawn, Some(e)), cause),
+                    };
+                    // Padding coins are drawn independently per tuple
+                    // (they are cheap); only the world is shared.
+                    for (i, tuple) in tuples.iter().enumerate() {
+                        let rc = bernoulli(&self.xi, &mut rng);
+                        let rd = bernoulli(&self.xi, &mut rng);
+                        let wrong = answers.contains(tuple) != observed.contains(tuple);
+                        if rd && (rc || wrong) {
+                            hits[i] += 1;
+                        }
+                    }
+                    drawn += 1;
                 }
-                drawn += 1;
-            }
-            (hits, drawn, cause, None, child)
-        });
+                ((hits, drawn, None), cause)
+            },
+        );
         let mut hits = vec![0u64; nk];
         let mut drawn = 0u64;
-        let mut first_cause: Option<Exhausted> = None;
         let mut first_failure: Option<EvalError> = None;
-        for (part_hits, part_drawn, cause, failure, child) in parts {
-            budget.settle(&child);
+        for (part_hits, part_drawn, failure) in parts {
             for (slot, shard_hits) in hits.iter_mut().zip(part_hits) {
                 *slot += shard_hits;
             }
             drawn += part_drawn;
-            if first_cause.is_none() {
-                first_cause = cause;
-            }
             if first_failure.is_none() {
                 first_failure = failure;
             }
@@ -587,7 +422,6 @@ mod tests {
     use crate::exact::{exact_probability, exact_reliability};
     use qrel_db::{DatabaseBuilder, Fact};
     use qrel_eval::{DatalogQuery, FoQuery};
-    use qrel_par::DEFAULT_SHARDS;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -665,16 +499,20 @@ mod tests {
         let q = DatalogQuery::parse("T(x,y) :- E(x,y). T(x,z) :- T(x,y), E(y,z).", "T").unwrap();
         let exact = exact_reliability(&ud, &q).unwrap().reliability.to_f64();
         let est = PaddingEstimator::default_xi();
-        let mut rng = StdRng::seed_from_u64(18);
-        let rep = est
-            .estimate_reliability_shared_worlds(&ud, &q, 0.15, 0.1, &mut rng)
-            .unwrap();
+        let rep = match est
+            .estimate_reliability_budgeted(&ud, &q, 0.15, 0.1, &Budget::unlimited(), 18, 1)
+            .unwrap()
+        {
+            PaddingOutcome::Complete(rep) => rep,
+            other => panic!("expected Complete, got {other:?}"),
+        };
         assert!(
             (rep.estimate - exact).abs() <= 0.15,
             "estimate {} vs exact {exact}",
             rep.estimate
         );
         // The shared variant evaluates the query t times total, not n^k·t.
+        let mut rng = StdRng::seed_from_u64(18);
         let per_tuple = est
             .estimate_reliability(&ud, &q, 0.15, 0.1, &mut rng)
             .unwrap();
@@ -732,66 +570,17 @@ mod tests {
     }
 
     #[test]
-    fn budgeted_padding_complete_matches_shared_worlds() {
-        let ud = setup();
-        let q = FoQuery::parse("exists x y. E(x,y)").unwrap();
-        let est = PaddingEstimator::default_xi();
-        let mut rng = StdRng::seed_from_u64(21);
-        let plain = est
-            .estimate_reliability_shared_worlds(&ud, &q, 0.15, 0.1, &mut rng)
-            .unwrap();
-        let mut rng = StdRng::seed_from_u64(21);
-        let budget = Budget::unlimited();
-        match est
-            .estimate_reliability_budgeted(&ud, &q, 0.15, 0.1, &budget, &mut rng)
-            .unwrap()
-        {
-            // Field-wise: `padded_mean` is the NaN sentinel on both sides
-            // (multi-tuple variants have no single padded mean).
-            PaddingOutcome::Complete(rep) => {
-                assert_eq!(rep.estimate, plain.estimate);
-                assert_eq!(rep.samples, plain.samples);
-            }
-            other => panic!("expected Complete, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn budgeted_padding_trips_with_partial_estimate() {
-        let ud = setup();
-        let q = FoQuery::parse("exists x y. E(x,y)").unwrap();
-        let est = PaddingEstimator::default_xi();
-        let budget = Budget::unlimited().with_max_samples(50);
-        let mut rng = StdRng::seed_from_u64(22);
-        match est
-            .estimate_reliability_budgeted(&ud, &q, 0.05, 0.05, &budget, &mut rng)
-            .unwrap()
-        {
-            PaddingOutcome::Exhausted {
-                partial_estimate,
-                samples,
-                cause,
-            } => {
-                assert_eq!(samples, 50);
-                assert_eq!(cause.resource, Resource::Samples);
-                assert!((0.0..=1.0).contains(&partial_estimate));
-            }
-            other => panic!("expected Exhausted, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn sharded_probability_is_thread_count_invariant_and_accurate() {
         let ud = setup();
         let q = FoQuery::parse("exists x y. E(x,y)").unwrap();
         let exact = exact_probability(&ud, &q).unwrap().to_f64();
         let est = PaddingEstimator::default_xi();
         let serial = est
-            .estimate_probability_sharded(&ud, &q, 0.08, 0.05, 31, DEFAULT_SHARDS, 1)
+            .estimate_probability_sharded(&ud, &q, 0.08, 0.05, 31, 1)
             .unwrap();
         for threads in [2usize, 4, 8] {
             let par = est
-                .estimate_probability_sharded(&ud, &q, 0.08, 0.05, 31, DEFAULT_SHARDS, threads)
+                .estimate_probability_sharded(&ud, &q, 0.08, 0.05, 31, threads)
                 .unwrap();
             assert_eq!(par.estimate.to_bits(), serial.estimate.to_bits());
             assert_eq!(par.samples, serial.samples);
@@ -818,13 +607,23 @@ mod tests {
         let q = FoQuery::parse("E(x,y)").unwrap();
         let exact = exact_reliability(&ud, &q).unwrap().reliability.to_f64();
         let est = PaddingEstimator::default_xi();
-        let serial = est
-            .estimate_reliability_sharded(&ud, &q, 0.25, 0.2, 32, DEFAULT_SHARDS, 1)
-            .unwrap();
-        let par = est
-            .estimate_reliability_sharded(&ud, &q, 0.25, 0.2, 32, DEFAULT_SHARDS, 4)
-            .unwrap();
+        let run = |threads: usize| {
+            let budget = Budget::unlimited();
+            match est
+                .estimate_reliability_budgeted(&ud, &q, 0.25, 0.2, &budget, 32, threads)
+                .unwrap()
+            {
+                PaddingOutcome::Complete(rep) => {
+                    assert_eq!(budget.spent(Resource::Samples), rep.samples);
+                    rep
+                }
+                other => panic!("expected Complete, got {other:?}"),
+            }
+        };
+        let serial = run(1);
+        let par = run(4);
         assert_eq!(par.estimate.to_bits(), serial.estimate.to_bits());
+        assert_eq!(par.samples, serial.samples);
         assert!(
             (serial.estimate - exact).abs() <= 0.25,
             "estimate {} vs exact {exact}",
@@ -840,25 +639,21 @@ mod tests {
         let run = |threads: usize| {
             let budget = Budget::unlimited().with_max_samples(50);
             let outcome = est
-                .estimate_reliability_budgeted_sharded(
-                    &ud,
-                    &q,
-                    0.05,
-                    0.05,
-                    &budget,
-                    33,
-                    DEFAULT_SHARDS,
-                    threads,
-                )
+                .estimate_reliability_budgeted(&ud, &q, 0.05, 0.05, &budget, 33, threads)
                 .unwrap();
             (outcome, budget.spent(Resource::Samples))
         };
         let (base, base_spent) = run(1);
         assert_eq!(base_spent, 50);
         match &base {
-            PaddingOutcome::Exhausted { samples, cause, .. } => {
+            PaddingOutcome::Exhausted {
+                partial_estimate,
+                samples,
+                cause,
+            } => {
                 assert_eq!(*samples, 50);
                 assert_eq!(cause.resource, Resource::Samples);
+                assert!((0.0..=1.0).contains(partial_estimate));
             }
             other => panic!("expected Exhausted, got {other:?}"),
         }
@@ -868,34 +663,24 @@ mod tests {
     }
 
     #[test]
-    fn budgeted_sharded_without_limits_matches_sharded() {
+    fn budgeted_without_tripping_matches_unlimited() {
         let ud = setup();
         let q = FoQuery::parse("exists x y. E(x,y)").unwrap();
         let est = PaddingEstimator::default_xi();
-        let plain = est
-            .estimate_reliability_sharded(&ud, &q, 0.15, 0.1, 34, DEFAULT_SHARDS, 4)
-            .unwrap();
-        let budget = Budget::unlimited();
-        match est
-            .estimate_reliability_budgeted_sharded(
-                &ud,
-                &q,
-                0.15,
-                0.1,
-                &budget,
-                34,
-                DEFAULT_SHARDS,
-                4,
-            )
+        let run = |budget: &Budget| match est
+            .estimate_reliability_budgeted(&ud, &q, 0.15, 0.1, budget, 34, 4)
             .unwrap()
         {
-            PaddingOutcome::Complete(rep) => {
-                assert_eq!(rep.estimate.to_bits(), plain.estimate.to_bits());
-                assert_eq!(rep.samples, plain.samples);
-                assert_eq!(budget.spent(Resource::Samples), plain.samples);
-            }
+            PaddingOutcome::Complete(rep) => rep,
             other => panic!("expected Complete, got {other:?}"),
-        }
+        };
+        let plain = run(&Budget::unlimited());
+        // A cap of exactly the sample count never trips.
+        let budget = Budget::unlimited().with_max_samples(plain.samples);
+        let capped = run(&budget);
+        assert_eq!(capped.estimate.to_bits(), plain.estimate.to_bits());
+        assert_eq!(capped.samples, plain.samples);
+        assert_eq!(budget.spent(Resource::Samples), plain.samples);
     }
 
     #[test]

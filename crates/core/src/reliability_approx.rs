@@ -21,7 +21,7 @@ use qrel_budget::{Budget, Exhausted, QrelError};
 use qrel_count::KarpLuby;
 use qrel_eval::eval_formula;
 use qrel_logic::{Formula, Fragment};
-use qrel_par::{split_seed, DEFAULT_SHARDS};
+use qrel_par::split_seed;
 use qrel_prob::UnreliableDatabase;
 use rand::Rng;
 use std::collections::HashMap;
@@ -118,94 +118,15 @@ pub enum ApproxOutcome {
 /// [`qrel_budget::Resource::Terms`], sampling charges
 /// [`qrel_budget::Resource::Samples`]; on a trip the tuples estimated so
 /// far are returned instead of being discarded.
-pub fn approximate_reliability_budgeted<R: Rng>(
-    ud: &UnreliableDatabase,
-    formula: &Formula,
-    free_vars: &[String],
-    eps: f64,
-    delta: f64,
-    budget: &Budget,
-    rng: &mut R,
-) -> Result<ApproxOutcome, QrelError> {
-    {
-        let mut sorted = free_vars.to_vec();
-        sorted.sort();
-        assert_eq!(sorted, formula.free_vars(), "free-variable order mismatch");
-    }
-    let (work_formula, flipped) = match formula.fragment() {
-        Fragment::Universal => (Formula::not(formula.clone()).to_nnf(), true),
-        _ => (formula.clone(), false),
-    };
-
-    let db = ud.observed();
-    let k = free_vars.len();
-    let tuples: Vec<Vec<u32>> = db.universe().tuples(k).collect();
-    let nk = tuples.len().max(1);
-    let per_eps = (eps / nk as f64).max(1e-9);
-    let per_delta = (delta / nk as f64).min(0.5);
-
-    let mut h = 0.0f64;
-    for (done, tuple) in tuples.iter().enumerate() {
-        let bindings: HashMap<String, u32> = free_vars
-            .iter()
-            .cloned()
-            .zip(tuple.iter().copied())
-            .collect();
-        let observed = eval_formula(db, formula, &bindings)?;
-        let (grounding, probs) = match ground_with_probabilities_budgeted(
-            ud,
-            &work_formula,
-            &bindings,
-            DEFAULT_MAX_TERMS,
-            budget,
-        ) {
-            Ok(x) => x,
-            Err(
-                QrelError::BudgetExhausted(cause)
-                | QrelError::Timeout(cause)
-                | QrelError::Cancelled(cause),
-            ) => {
-                return Ok(ApproxOutcome::Exhausted {
-                    partial_expected_error: h,
-                    tuples_done: done,
-                    tuples_total: nk,
-                    cause,
-                });
-            }
-            Err(e) => return Err(e),
-        };
-        let kl = KarpLuby::new(&grounding.dnf, &probs);
-        let (rep, exhausted) = kl.run_budgeted(kl.samples_for(per_eps, per_delta), budget, rng);
-        let nu_hat = rep.estimate.clamp(0.0, 1.0);
-        let nu_psi = if flipped { 1.0 - nu_hat } else { nu_hat };
-        let h_tuple = if observed { 1.0 - nu_psi } else { nu_psi };
-        h += h_tuple.clamp(0.0, 1.0);
-        if let Some(cause) = exhausted {
-            return Ok(ApproxOutcome::Exhausted {
-                partial_expected_error: h,
-                tuples_done: done,
-                tuples_total: nk,
-                cause,
-            });
-        }
-    }
-
-    Ok(ApproxOutcome::Complete(ApproxReport {
-        expected_error: h,
-        reliability: 1.0 - h / nk as f64,
-        tuples: nk,
-    }))
-}
-
-/// Parallel [`approximate_reliability_budgeted`]: grounding and the
-/// per-tuple loop stay serial (they are cheap relative to sampling), but
-/// each tuple's Karp–Luby run is sharded across `threads` workers via
-/// [`KarpLuby::run_budgeted_sharded`], with the tuple's sampling seed
-/// derived as `split_seed(seed, tuple_index)`. The result therefore
-/// depends only on `(eps, delta, seed)` and the budget's counter caps —
-/// never on the thread count.
+///
+/// Grounding and the per-tuple loop stay serial (they are cheap
+/// relative to sampling), but each tuple's Karp–Luby run is sharded
+/// across `threads` workers via [`KarpLuby::run_budgeted`], with the
+/// tuple's sampling seed derived as `split_seed(seed, tuple_index)`. The
+/// result therefore depends only on `(eps, delta, seed)` and the
+/// budget's counter caps — never on the thread count.
 #[allow(clippy::too_many_arguments)]
-pub fn approximate_reliability_budgeted_parallel(
+pub fn approximate_reliability_budgeted(
     ud: &UnreliableDatabase,
     formula: &Formula,
     free_vars: &[String],
@@ -263,11 +184,10 @@ pub fn approximate_reliability_budgeted_parallel(
             Err(e) => return Err(e),
         };
         let kl = KarpLuby::new(&grounding.dnf, &probs);
-        let (rep, exhausted) = kl.run_budgeted_sharded(
+        let (rep, exhausted) = kl.run_budgeted(
             kl.samples_for(per_eps, per_delta),
             budget,
             split_seed(seed, done as u64),
-            DEFAULT_SHARDS,
             threads,
         );
         let nu_hat = rep.estimate.clamp(0.0, 1.0);
@@ -393,57 +313,12 @@ mod tests {
     }
 
     #[test]
-    fn budgeted_approx_degrades_gracefully() {
-        let ud = setup();
-        let f = parse_formula("exists y. E(x,y) & S(y)").unwrap();
-        let free = vec!["x".to_string()];
-        // The per-tuple (ε/n, δ/n) split needs thousands of samples; a
-        // 100-sample budget must trip partway with partial sums intact.
-        let budget = Budget::unlimited().with_max_samples(100);
-        let mut rng = StdRng::seed_from_u64(55);
-        match approximate_reliability_budgeted(&ud, &f, &free, 0.05, 0.05, &budget, &mut rng)
-            .unwrap()
-        {
-            ApproxOutcome::Exhausted {
-                partial_expected_error,
-                tuples_done,
-                tuples_total,
-                ..
-            } => {
-                assert!(tuples_done < tuples_total);
-                assert_eq!(tuples_total, 3);
-                assert!((0.0..=tuples_total as f64).contains(&partial_expected_error));
-            }
-            ApproxOutcome::Complete(_) => panic!("sample cap should have tripped"),
-        }
-        // With no caps the budgeted path completes like the plain one.
-        let mut rng = StdRng::seed_from_u64(56);
-        match approximate_reliability_budgeted(
-            &ud,
-            &f,
-            &free,
-            0.1,
-            0.1,
-            &Budget::unlimited(),
-            &mut rng,
-        )
-        .unwrap()
-        {
-            ApproxOutcome::Complete(rep) => {
-                assert!((0.0..=1.0).contains(&rep.reliability));
-                assert_eq!(rep.tuples, 3);
-            }
-            other => panic!("expected completion, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn parallel_budgeted_is_thread_count_invariant() {
+    fn budgeted_is_thread_count_invariant() {
         let ud = setup();
         let f = parse_formula("exists y. E(x,y) & S(y)").unwrap();
         let free = vec!["x".to_string()];
         let run = |threads: usize| {
-            approximate_reliability_budgeted_parallel(
+            approximate_reliability_budgeted(
                 &ud,
                 &f,
                 &free,
@@ -469,26 +344,28 @@ mod tests {
     }
 
     #[test]
-    fn parallel_budgeted_sample_cap_trips_deterministically() {
+    fn budgeted_sample_cap_trips_deterministically() {
         let ud = setup();
         let f = parse_formula("exists y. E(x,y) & S(y)").unwrap();
         let free = vec!["x".to_string()];
         let run = |threads: usize| {
             let budget = Budget::unlimited().with_max_samples(100);
-            approximate_reliability_budgeted_parallel(
-                &ud, &f, &free, 0.05, 0.05, &budget, 78, threads,
-            )
-            .unwrap()
+            approximate_reliability_budgeted(&ud, &f, &free, 0.05, 0.05, &budget, 78, threads)
+                .unwrap()
         };
         let base = run(1);
         match &base {
             ApproxOutcome::Exhausted {
+                partial_expected_error,
                 tuples_done,
                 tuples_total,
                 cause,
-                ..
             } => {
+                // The per-tuple (ε/n, δ/n) split needs thousands of
+                // samples; the cap trips partway with partial sums intact.
                 assert!(tuples_done < tuples_total);
+                assert_eq!(*tuples_total, 3);
+                assert!((0.0..=*tuples_total as f64).contains(partial_expected_error));
                 assert_eq!(cause.resource, qrel_budget::Resource::Samples);
             }
             other => panic!("sample cap should have tripped, got {other:?}"),

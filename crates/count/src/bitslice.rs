@@ -14,8 +14,7 @@
 //! remaining `h = n − low` variables take theirs from `gray(block) =
 //! block ^ (block >> 1)`. Gray-coding the block index keeps consecutive
 //! blocks one bit apart (cheap for incremental schemes) while remaining a
-//! bijection on `0..2^h`, so arbitrary `[start, end)` world ranges—and
-//! therefore block-aligned shards—partition the space exactly.
+//! bijection on `0..2^h`, so the blocks cover every world exactly once.
 //!
 //! **Per-term compilation.** Low literals fold into a single 64-bit
 //! `low_mask` (AND of patterns / complements); high literals fold into
@@ -35,7 +34,6 @@
 
 use qrel_arith::{BigRational, BigUint, FastProb};
 use qrel_logic::prop::Dnf;
-use qrel_par::{run_shards, shard_ranges_aligned};
 
 /// Lane patterns: bit `j` of `PATTERNS[v]` is bit `v` of lane index `j`.
 const PATTERNS: [u64; 6] = [
@@ -184,26 +182,16 @@ impl Sliced {
         w
     }
 
-    /// Probability mass of the satisfying worlds with index in
-    /// `[start, end)`.
-    fn range_probability(&self, start: u64, end: u64) -> FastProb {
+    /// Probability mass of the satisfying worlds.
+    fn probability(&self) -> FastProb {
         let lanes = self.lanes();
         let full = lane_mask(lanes as usize);
         // Total lane mass = 1 exactly (the low vars' distribution sums
         // out), letting fully satisfied blocks skip the per-lane sum.
         let mut acc = FastProb::zero();
-        let mut block = start / lanes;
-        let last = end.div_ceil(lanes);
-        while block < last {
-            let mut valid = full;
-            if block == start / lanes {
-                valid &= !lane_mask((start % lanes) as usize);
-            }
-            if block + 1 == last && !end.is_multiple_of(lanes) {
-                valid &= lane_mask((end % lanes) as usize);
-            }
+        for block in 0..(1u64 << self.n) / lanes {
             let hi = gray(block);
-            let sat = self.block_sat(hi, valid);
+            let sat = self.block_sat(hi, full);
             if sat != 0 {
                 let hw = self.high_weight(hi);
                 let low_sum = if sat == full {
@@ -220,7 +208,6 @@ impl Sliced {
                 };
                 acc = acc.add(&hw.mul(&low_sum));
             }
-            block += 1;
         }
         acc
     }
@@ -233,58 +220,7 @@ pub fn dnf_probability_bitslice(dnf: &Dnf, probs: &[BigRational]) -> BigRational
     if dnf.is_false() {
         return BigRational::zero();
     }
-    let s = compile(dnf, probs);
-    let total = 1u64 << s.n;
-    s.range_probability(0, total).to_rational()
-}
-
-/// Probability mass of satisfying worlds with index in `[start, end)`
-/// under the bit-sliced world order. `[0, 2^var_bound)` recovers
-/// [`dnf_probability_bitslice`]; disjoint ranges sum exactly to the
-/// total, which is what the sharded driver and the lane-invariance tests
-/// rely on.
-pub fn dnf_probability_bitslice_range(
-    dnf: &Dnf,
-    probs: &[BigRational],
-    start: u64,
-    end: u64,
-) -> BigRational {
-    if dnf.is_false() || start >= end {
-        return BigRational::zero();
-    }
-    let s = compile(dnf, probs);
-    let total = 1u64 << s.n;
-    assert!(end <= total, "world range out of bounds");
-    s.range_probability(start, end).to_rational()
-}
-
-/// Sharded bit-sliced probability: `[0, 2^n)` is cut into `shards`
-/// block-aligned ranges (no 64-lane block straddles a shard), each shard
-/// enumerates its range independently, and the exact partial sums are
-/// merged in shard order. Exact rational addition is associative, so the
-/// result is bit-identical to [`dnf_probability_bitslice`] for every
-/// `shards`/`threads` combination.
-pub fn dnf_probability_bitslice_sharded(
-    dnf: &Dnf,
-    probs: &[BigRational],
-    shards: usize,
-    threads: usize,
-) -> BigRational {
-    if dnf.is_false() {
-        return BigRational::zero();
-    }
-    let s = compile(dnf, probs);
-    let total = 1u64 << s.n;
-    let ranges = shard_ranges_aligned(total, shards, s.lanes());
-    let partials = run_shards(shards, threads, |shard| {
-        let (lo, hi) = ranges[shard];
-        s.range_probability(lo, hi).to_rational()
-    });
-    let mut acc = BigRational::zero();
-    for p in &partials {
-        acc = acc.add_ref(p);
-    }
-    acc
+    compile(dnf, probs).probability().to_rational()
 }
 
 /// Exact model count over `num_vars` variables by bit-sliced enumeration
@@ -425,46 +361,6 @@ mod tests {
                 dnf_probability_shannon(&d, &probs),
                 "trial={trial}"
             );
-        }
-    }
-
-    #[test]
-    fn ranges_partition_exactly() {
-        let mut rng = StdRng::seed_from_u64(66);
-        let n = 8usize;
-        let d = random_dnf(&mut rng, n, 5, 3);
-        let probs: Vec<BigRational> = (0..n).map(|_| r(rng.gen_range(0..=4), 4)).collect();
-        let total = dnf_probability_bitslice(&d, &probs);
-        // Cuts deliberately not multiples of 64 (mid-block).
-        for cuts in [
-            vec![0u64, 256],
-            vec![0, 100, 256],
-            vec![0, 7, 63, 64, 65, 200, 256],
-        ] {
-            let mut acc = BigRational::zero();
-            for w in cuts.windows(2) {
-                acc = acc.add_ref(&dnf_probability_bitslice_range(&d, &probs, w[0], w[1]));
-            }
-            assert_eq!(acc, total, "cuts={cuts:?}");
-        }
-    }
-
-    #[test]
-    fn sharded_is_bit_identical() {
-        let mut rng = StdRng::seed_from_u64(67);
-        for n in [4usize, 7, 11] {
-            let d = random_dnf(&mut rng, n, 6, 3);
-            let probs: Vec<BigRational> = (0..n).map(|_| r(rng.gen_range(0..=8), 8)).collect();
-            let serial = dnf_probability_bitslice(&d, &probs);
-            for shards in [1usize, 3, 16, 64] {
-                for threads in [1usize, 4] {
-                    assert_eq!(
-                        dnf_probability_bitslice_sharded(&d, &probs, shards, threads),
-                        serial,
-                        "n={n} shards={shards} threads={threads}"
-                    );
-                }
-            }
         }
     }
 

@@ -21,7 +21,7 @@
 use qrel_arith::BigRational;
 use qrel_budget::{Budget, Exhausted, Resource};
 use qrel_logic::prop::{Dnf, Lit, PackedDnf};
-use qrel_par::{run_shards, run_shards_with, shard_counts, split_seed, DEFAULT_SHARDS};
+use qrel_par::{run_settled, shard_counts, split_seed, DEFAULT_SHARDS};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -168,20 +168,8 @@ impl KarpLuby {
     /// Panics if `samples == 0` (the mean of zero samples is undefined);
     /// trivial formulas short-circuit before the check.
     pub fn run_with_samples<R: Rng>(&self, samples: u64, rng: &mut R) -> KarpLubyReport {
-        if self.terms.is_empty() {
-            return KarpLubyReport {
-                estimate: 0.0,
-                samples: 0,
-                hit_rate: 0.0,
-            };
-        }
-        if self.terms.iter().any(|t| t.is_empty()) {
-            // A tautological term: Pr[φ] = 1 exactly.
-            return KarpLubyReport {
-                estimate: 1.0,
-                samples: 0,
-                hit_rate: 1.0,
-            };
+        if let Some(report) = self.trivial() {
+            return report;
         }
         assert!(samples > 0, "Karp-Luby needs at least one sample");
         let u = *self.cumulative.last().unwrap();
@@ -198,6 +186,26 @@ impl KarpLuby {
             samples,
             hit_rate,
         }
+    }
+
+    /// The exact report for formulas that need no sampling: no term at
+    /// all (`Pr[φ] = 0`) or a tautological term (`Pr[φ] = 1`).
+    fn trivial(&self) -> Option<KarpLubyReport> {
+        if self.terms.is_empty() {
+            return Some(KarpLubyReport {
+                estimate: 0.0,
+                samples: 0,
+                hit_rate: 0.0,
+            });
+        }
+        if self.terms.iter().any(|t| t.is_empty()) {
+            return Some(KarpLubyReport {
+                estimate: 1.0,
+                samples: 0,
+                hit_rate: 1.0,
+            });
+        }
+        None
     }
 
     /// One coverage-space sample; returns the indicator `Y`. The
@@ -251,198 +259,66 @@ impl KarpLuby {
         first == ti
     }
 
-    /// Run under a cooperative [`Budget`], charging one
-    /// [`Resource::Samples`] per draw. Never panics on exhaustion:
-    /// returns the report over the samples actually drawn together with
-    /// the trip cause, letting callers use the partial estimate (which
-    /// carries no `(ε, δ)` guarantee) as a degraded answer. A run cut
-    /// off before any sample reports `estimate = 0, samples = 0`.
-    pub fn run_budgeted<R: Rng>(
-        &self,
-        samples: u64,
-        budget: &Budget,
-        rng: &mut R,
-    ) -> (KarpLubyReport, Option<Exhausted>) {
-        if self.terms.is_empty() {
-            return (
-                KarpLubyReport {
-                    estimate: 0.0,
-                    samples: 0,
-                    hit_rate: 0.0,
-                },
-                None,
-            );
-        }
-        if self.terms.iter().any(|t| t.is_empty()) {
-            return (
-                KarpLubyReport {
-                    estimate: 1.0,
-                    samples: 0,
-                    hit_rate: 1.0,
-                },
-                None,
-            );
-        }
-        let u = *self.cumulative.last().unwrap();
-        let mut hits = 0u64;
-        let mut drawn = 0u64;
-        let mut exhausted = None;
-        let mut assignment = vec![0u64; self.packed.num_words()];
-        for _ in 0..samples {
-            if let Err(e) = budget.charge(Resource::Samples, 1) {
-                exhausted = Some(e);
-                break;
-            }
-            if self.sample_once(u, &mut assignment, rng) {
-                hits += 1;
-            }
-            drawn += 1;
-        }
-        let hit_rate = hits as f64 / drawn.max(1) as f64;
-        (
-            KarpLubyReport {
-                estimate: self.total_weight.to_f64() * hit_rate,
-                samples: drawn,
-                hit_rate,
-            },
-            exhausted,
-        )
-    }
-
     /// Run with the sample count dictated by `(ε, δ)`.
     pub fn run<R: Rng>(&self, eps: f64, delta: f64, rng: &mut R) -> KarpLubyReport {
         let samples = self.samples_for(eps, delta);
         self.run_with_samples(samples, rng)
     }
 
-    /// Sharded deterministic run: the sample budget is cut into `shards`
-    /// fixed pieces, shard `s` draws its share on an independent
-    /// `StdRng` seeded with [`split_seed`]`(seed, s)`, and the integer
-    /// hit counts are merged exactly. The result depends on `(samples,
-    /// seed, shards)` only — **never on `threads`** — so any thread
-    /// count reproduces the `threads = 1` run bit for bit.
+    /// Seeded, sharded run under a cooperative [`Budget`], charging one
+    /// [`Resource::Samples`] per draw. Never panics on exhaustion:
+    /// returns the report over the samples actually drawn together with
+    /// the trip cause, letting callers use the partial estimate (which
+    /// carries no `(ε, δ)` guarantee) as a degraded answer. A run cut
+    /// off before any sample reports `estimate = 0, samples = 0`.
     ///
-    /// # Panics
-    /// Panics if `samples == 0` or `shards == 0` (trivial formulas
-    /// short-circuit before the check).
-    pub fn run_sharded(
-        &self,
-        samples: u64,
-        seed: u64,
-        shards: usize,
-        threads: usize,
-    ) -> KarpLubyReport {
-        if self.terms.is_empty() {
-            return KarpLubyReport {
-                estimate: 0.0,
-                samples: 0,
-                hit_rate: 0.0,
-            };
-        }
-        if self.terms.iter().any(|t| t.is_empty()) {
-            return KarpLubyReport {
-                estimate: 1.0,
-                samples: 0,
-                hit_rate: 1.0,
-            };
-        }
-        assert!(samples > 0, "Karp-Luby needs at least one sample");
-        let u = *self.cumulative.last().unwrap();
-        let counts = shard_counts(samples, shards);
-        let shard_hits = run_shards(shards, threads, |s| {
-            let mut rng = StdRng::seed_from_u64(split_seed(seed, s as u64));
-            let mut assignment = vec![0u64; self.packed.num_words()];
-            let mut hits = 0u64;
-            for _ in 0..counts[s] {
-                if self.sample_once(u, &mut assignment, &mut rng) {
-                    hits += 1;
-                }
-            }
-            hits
-        });
-        let hits: u64 = shard_hits.iter().sum();
-        let hit_rate = hits as f64 / samples as f64;
-        KarpLubyReport {
-            estimate: self.total_weight.to_f64() * hit_rate,
-            samples,
-            hit_rate,
-        }
-    }
-
-    /// [`Self::run`] with the work spread over `threads` workers at the
-    /// fixed [`DEFAULT_SHARDS`] shard count.
-    pub fn run_parallel(&self, eps: f64, delta: f64, seed: u64, threads: usize) -> KarpLubyReport {
-        self.run_sharded(self.samples_for(eps, delta), seed, DEFAULT_SHARDS, threads)
-    }
-
-    /// Sharded [`Self::run_budgeted`]: the parent budget is
-    /// [`Budget::split`] into one child per shard, each shard charges
-    /// its own child (so the total spend is conserved exactly and
-    /// independent of scheduling), and the children are settled back in
-    /// shard order. Counter-capped runs are as deterministic as the
-    /// unbudgeted sharded run; only wall-clock deadlines and external
-    /// cancellation introduce scheduling-dependent trip points, exactly
-    /// as they do serially. The reported cause is the first tripped
-    /// shard's, by shard index.
-    pub fn run_budgeted_sharded(
+    /// The sample count is cut into [`DEFAULT_SHARDS`] fixed pieces;
+    /// shard `s` draws its share on an independent `StdRng` seeded with
+    /// [`split_seed`]`(seed, s)` and charges its own child of the
+    /// [`Budget::split`] parent, so the total spend is conserved exactly.
+    /// The integer hit counts merge exactly and the children settle back
+    /// in shard order: the result depends on `(samples, seed)` and the
+    /// budget's counter caps — **never on `threads`**. Only wall-clock
+    /// deadlines and external cancellation introduce
+    /// scheduling-dependent trip points. The reported cause is the first
+    /// tripped shard's, by shard index.
+    pub fn run_budgeted(
         &self,
         samples: u64,
         budget: &Budget,
         seed: u64,
-        shards: usize,
         threads: usize,
     ) -> (KarpLubyReport, Option<Exhausted>) {
-        if self.terms.is_empty() {
-            return (
-                KarpLubyReport {
-                    estimate: 0.0,
-                    samples: 0,
-                    hit_rate: 0.0,
-                },
-                None,
-            );
-        }
-        if self.terms.iter().any(|t| t.is_empty()) {
-            return (
-                KarpLubyReport {
-                    estimate: 1.0,
-                    samples: 0,
-                    hit_rate: 1.0,
-                },
-                None,
-            );
+        if let Some(report) = self.trivial() {
+            return (report, None);
         }
         let u = *self.cumulative.last().unwrap();
-        let counts = shard_counts(samples, shards);
-        let results = run_shards_with(budget.split(shards), threads, |s, child: Budget| {
-            let mut rng = StdRng::seed_from_u64(split_seed(seed, s as u64));
-            let mut assignment = vec![0u64; self.packed.num_words()];
-            let mut hits = 0u64;
-            let mut drawn = 0u64;
-            let mut exhausted = None;
-            for _ in 0..counts[s] {
-                if let Err(e) = child.charge(Resource::Samples, 1) {
-                    exhausted = Some(e);
-                    break;
+        let counts = shard_counts(samples, DEFAULT_SHARDS);
+        let (parts, exhausted) = run_settled(
+            budget.split(DEFAULT_SHARDS),
+            threads,
+            |child| budget.settle(child),
+            |s, child: &Budget| {
+                let mut rng = StdRng::seed_from_u64(split_seed(seed, s as u64));
+                let mut assignment = vec![0u64; self.packed.num_words()];
+                let mut hits = 0u64;
+                let mut drawn = 0u64;
+                let mut exhausted = None;
+                for _ in 0..counts[s] {
+                    if let Err(e) = child.charge(Resource::Samples, 1) {
+                        exhausted = Some(e);
+                        break;
+                    }
+                    if self.sample_once(u, &mut assignment, &mut rng) {
+                        hits += 1;
+                    }
+                    drawn += 1;
                 }
-                if self.sample_once(u, &mut assignment, &mut rng) {
-                    hits += 1;
-                }
-                drawn += 1;
-            }
-            (hits, drawn, exhausted, child)
-        });
-        let mut hits = 0u64;
-        let mut drawn = 0u64;
-        let mut exhausted = None;
-        for (h, d, e, child) in results {
-            budget.settle(&child);
-            hits += h;
-            drawn += d;
-            if exhausted.is_none() {
-                exhausted = e;
-            }
-        }
+                ((hits, drawn), exhausted)
+            },
+        );
+        let hits: u64 = parts.iter().map(|(h, _)| h).sum();
+        let drawn: u64 = parts.iter().map(|(_, d)| d).sum();
         let hit_rate = hits as f64 / drawn.max(1) as f64;
         (
             KarpLubyReport {
@@ -643,38 +519,8 @@ mod tests {
     }
 
     #[test]
-    fn budgeted_run_stops_at_sample_cap_with_partial_estimate() {
-        use qrel_budget::{Budget, Resource};
-        let d = Dnf::from_terms([vec![Lit::pos(0)], vec![Lit::pos(1)]]);
-        let probs = vec![r(1, 3), r(1, 3)];
-        let kl = KarpLuby::new(&d, &probs);
-        let budget = Budget::unlimited().with_max_samples(50);
-        let mut rng = StdRng::seed_from_u64(34);
-        let (rep, exhausted) = kl.run_budgeted(1_000_000, &budget, &mut rng);
-        let e = exhausted.expect("sample budget must trip");
-        assert_eq!(e.resource, Resource::Samples);
-        assert_eq!(rep.samples, 50);
-        // The partial estimate is still a bounded, plausible number.
-        assert!(rep.estimate >= 0.0 && rep.estimate <= kl.total_weight().to_f64());
-    }
-
-    #[test]
-    fn budgeted_run_without_limits_matches_plain_run() {
+    fn budgeted_run_is_thread_count_invariant() {
         use qrel_budget::Budget;
-        let d = Dnf::from_terms([vec![Lit::pos(0)], vec![Lit::pos(1), Lit::neg(0)]]);
-        let probs = vec![r(1, 3), r(1, 5)];
-        let kl = KarpLuby::new(&d, &probs);
-        let mut rng1 = StdRng::seed_from_u64(35);
-        let mut rng2 = StdRng::seed_from_u64(35);
-        let plain = kl.run_with_samples(500, &mut rng1);
-        let (budgeted, exhausted) = kl.run_budgeted(500, &Budget::unlimited(), &mut rng2);
-        assert!(exhausted.is_none());
-        assert_eq!(plain.estimate, budgeted.estimate);
-        assert_eq!(plain.samples, budgeted.samples);
-    }
-
-    #[test]
-    fn sharded_run_is_thread_count_invariant() {
         let d = Dnf::from_terms([
             vec![Lit::pos(0), Lit::neg(1)],
             vec![Lit::pos(2)],
@@ -682,9 +528,13 @@ mod tests {
         ]);
         let probs = vec![r(1, 3), r(1, 2), r(1, 5), r(2, 7)];
         let kl = KarpLuby::new(&d, &probs);
-        let serial = kl.run_sharded(10_000, 0xC0FFEE, 16, 1);
+        let run = |threads| {
+            kl.run_budgeted(10_000, &Budget::unlimited(), 0xC0FFEE, threads)
+                .0
+        };
+        let serial = run(1);
         for threads in [2usize, 4, 8, 16] {
-            let par = kl.run_sharded(10_000, 0xC0FFEE, 16, threads);
+            let par = run(threads);
             assert_eq!(par.estimate.to_bits(), serial.estimate.to_bits());
             assert_eq!(par.hit_rate.to_bits(), serial.hit_rate.to_bits());
             assert_eq!(par.samples, serial.samples);
@@ -692,7 +542,8 @@ mod tests {
     }
 
     #[test]
-    fn sharded_run_matches_exact_probability() {
+    fn budgeted_run_matches_exact_probability() {
+        use qrel_budget::Budget;
         let d = Dnf::from_terms([
             vec![Lit::pos(0), Lit::pos(1)],
             vec![Lit::neg(2)],
@@ -701,7 +552,11 @@ mod tests {
         let probs: Vec<BigRational> = (0..4).map(|i| r(1 + (i as i64 % 3), 4)).collect();
         let exact = dnf_probability_shannon(&d, &probs).to_f64();
         let kl = KarpLuby::new(&d, &probs);
-        let est = kl.run_parallel(0.05, 0.02, 99, 4).estimate;
+        let samples = kl.samples_for(0.05, 0.02);
+        let est = kl
+            .run_budgeted(samples, &Budget::unlimited(), 99, 4)
+            .0
+            .estimate;
         assert!(
             (est - exact).abs() <= 0.05 * exact + 0.01,
             "estimate {est} vs exact {exact}"
@@ -709,35 +564,39 @@ mod tests {
     }
 
     #[test]
-    fn budgeted_sharded_conserves_the_sample_cap() {
+    fn budgeted_run_conserves_the_sample_cap() {
         use qrel_budget::{Budget, Resource};
         let d = Dnf::from_terms([vec![Lit::pos(0)], vec![Lit::pos(1)]]);
         let probs = vec![r(1, 3), r(1, 3)];
         let kl = KarpLuby::new(&d, &probs);
         for threads in [1usize, 4] {
             let budget = Budget::unlimited().with_max_samples(50);
-            let (rep, exhausted) = kl.run_budgeted_sharded(1_000_000, &budget, 7, 16, threads);
+            let (rep, exhausted) = kl.run_budgeted(1_000_000, &budget, 7, threads);
             let e = exhausted.expect("sample budget must trip");
             assert_eq!(e.resource, Resource::Samples);
             // Split-and-settle accounting: exactly the cap was spent.
             assert_eq!(rep.samples, 50);
             assert_eq!(budget.spent(Resource::Samples), 50);
+            // The partial estimate is still a bounded, plausible number.
+            assert!(rep.estimate >= 0.0 && rep.estimate <= kl.total_weight().to_f64());
         }
     }
 
     #[test]
-    fn budgeted_sharded_without_limits_matches_sharded() {
-        use qrel_budget::Budget;
+    fn budgeted_run_without_tripping_matches_unlimited() {
+        use qrel_budget::{Budget, Resource};
         let d = Dnf::from_terms([vec![Lit::pos(0)], vec![Lit::pos(1), Lit::neg(0)]]);
         let probs = vec![r(1, 3), r(1, 5)];
         let kl = KarpLuby::new(&d, &probs);
-        let plain = kl.run_sharded(500, 11, 16, 4);
-        let budget = Budget::unlimited();
-        let (budgeted, exhausted) = kl.run_budgeted_sharded(500, &budget, 11, 16, 4);
+        let (plain, exhausted) = kl.run_budgeted(500, &Budget::unlimited(), 11, 4);
         assert!(exhausted.is_none());
-        assert_eq!(plain.estimate.to_bits(), budgeted.estimate.to_bits());
-        assert_eq!(plain.samples, budgeted.samples);
-        assert_eq!(budget.spent(qrel_budget::Resource::Samples), 500);
+        // A cap of exactly the sample count never trips.
+        let budget = Budget::unlimited().with_max_samples(500);
+        let (capped, exhausted) = kl.run_budgeted(500, &budget, 11, 4);
+        assert!(exhausted.is_none());
+        assert_eq!(plain.estimate.to_bits(), capped.estimate.to_bits());
+        assert_eq!(plain.samples, capped.samples);
+        assert_eq!(budget.spent(Resource::Samples), 500);
     }
 
     #[test]

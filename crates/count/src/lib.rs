@@ -25,11 +25,8 @@ pub mod naive_mc;
 pub mod sharp_sat;
 
 pub use bdd::{dnf_probability_bdd, Bdd};
-pub use bitslice::{
-    dnf_count_models_bitslice, dnf_probability_bitslice, dnf_probability_bitslice_range,
-    dnf_probability_bitslice_sharded,
-};
+pub use bitslice::{dnf_count_models_bitslice, dnf_probability_bitslice};
 pub use exact_dnf::{dnf_probability_enum, dnf_probability_ie, dnf_probability_shannon};
 pub use karp_luby::{KarpLuby, KarpLubyReport};
-pub use naive_mc::{naive_mc_probability, naive_mc_probability_budgeted};
+pub use naive_mc::naive_mc_probability_with_samples;
 pub use sharp_sat::{count_models, count_mon2sat};

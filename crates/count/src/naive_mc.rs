@@ -8,22 +8,17 @@
 //! the order of `1/p` samples. Experiment E10 measures this crossover.
 
 use qrel_arith::BigRational;
-use qrel_budget::{Budget, Exhausted, Resource};
 use qrel_logic::prop::{Dnf, PackedDnf};
-use qrel_par::{run_shards, shard_counts, split_seed};
+use qrel_par::{run_shards, shard_counts, split_seed, DEFAULT_SHARDS};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-use crate::bounds::hoeffding_samples;
 
 /// Estimate `Pr[φ]` by naive sampling with an explicit sample count.
 ///
 /// # Panics
 /// Panics if `samples == 0`: the mean of zero samples is undefined, and
 /// silently reporting `0.0` would be indistinguishable from a genuine
-/// all-miss run (callers that may legitimately run out of samples use
-/// [`naive_mc_probability_budgeted`], which reports the shortfall as an
-/// explicit [`Exhausted`] cause instead).
+/// all-miss run.
 pub fn naive_mc_probability_with_samples<R: Rng>(
     dnf: &Dnf,
     probs: &[BigRational],
@@ -53,19 +48,18 @@ pub fn naive_mc_probability_with_samples<R: Rng>(
     hits as f64 / samples as f64
 }
 
-/// Sharded deterministic naive MC: the sample budget is cut into
-/// `shards` fixed pieces, each drawn on an independent seed-split
-/// `StdRng`, and integer hit counts are merged exactly — the result
-/// depends on `(samples, seed, shards)` but never on `threads`.
+/// Sharded deterministic naive MC: the sample count is cut into
+/// [`DEFAULT_SHARDS`] fixed pieces, each drawn on an independent
+/// seed-split `StdRng`, and integer hit counts are merged exactly — the
+/// result depends on `(samples, seed)` but never on `threads`.
 ///
 /// # Panics
-/// Panics if `samples == 0` or `shards == 0`.
+/// Panics if `samples == 0`.
 pub fn naive_mc_probability_sharded(
     dnf: &Dnf,
     probs: &[BigRational],
     samples: u64,
     seed: u64,
-    shards: usize,
     threads: usize,
 ) -> f64 {
     assert!(
@@ -75,8 +69,8 @@ pub fn naive_mc_probability_sharded(
     assert!(samples > 0, "naive MC needs at least one sample");
     let pf: Vec<f64> = probs.iter().map(|p| p.to_f64()).collect();
     let packed = PackedDnf::new(dnf, pf.len());
-    let counts = shard_counts(samples, shards);
-    let shard_hits = run_shards(shards, threads, |s| {
+    let counts = shard_counts(samples, DEFAULT_SHARDS);
+    let shard_hits = run_shards(DEFAULT_SHARDS, threads, |s| {
         let mut rng = StdRng::seed_from_u64(split_seed(seed, s as u64));
         let mut assignment = vec![0u64; packed.num_words()];
         let mut hits = 0u64;
@@ -93,58 +87,10 @@ pub fn naive_mc_probability_sharded(
     shard_hits.iter().sum::<u64>() as f64 / samples as f64
 }
 
-/// Budgeted naive sampling: charges one [`Resource::Samples`] per draw
-/// and stops early when the budget trips, returning the mean over the
-/// samples actually drawn (guarantee-free once exhausted) plus the trip
-/// cause and the draw count.
-pub fn naive_mc_probability_budgeted<R: Rng>(
-    dnf: &Dnf,
-    probs: &[BigRational],
-    samples: u64,
-    budget: &Budget,
-    rng: &mut R,
-) -> (f64, u64, Option<Exhausted>) {
-    assert!(
-        dnf.var_bound() <= probs.len(),
-        "probability vector does not cover all variables"
-    );
-    let pf: Vec<f64> = probs.iter().map(|p| p.to_f64()).collect();
-    let packed = PackedDnf::new(dnf, pf.len());
-    let mut hits = 0u64;
-    let mut drawn = 0u64;
-    let mut exhausted = None;
-    let mut assignment = vec![0u64; packed.num_words()];
-    for _ in 0..samples {
-        if let Err(e) = budget.charge(Resource::Samples, 1) {
-            exhausted = Some(e);
-            break;
-        }
-        for (v, p) in pf.iter().enumerate() {
-            PackedDnf::set_bit(&mut assignment, v, rng.gen::<f64>() < *p);
-        }
-        if packed.eval_words(&assignment) {
-            hits += 1;
-        }
-        drawn += 1;
-    }
-    (hits as f64 / drawn.max(1) as f64, drawn, exhausted)
-}
-
-/// Estimate `Pr[φ]` with the additive-(ε, δ) Hoeffding sample count.
-pub fn naive_mc_probability<R: Rng>(
-    dnf: &Dnf,
-    probs: &[BigRational],
-    eps: f64,
-    delta: f64,
-    rng: &mut R,
-) -> f64 {
-    let samples = hoeffding_samples(eps, delta);
-    naive_mc_probability_with_samples(dnf, probs, samples, rng)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bounds::hoeffding_samples;
     use crate::exact_dnf::dnf_probability_shannon;
     use qrel_logic::prop::Lit;
     use rand::rngs::StdRng;
@@ -160,7 +106,8 @@ mod tests {
         let probs = vec![r(1, 3), r(1, 2), r(1, 4)];
         let exact = dnf_probability_shannon(&d, &probs).to_f64();
         let mut rng = StdRng::seed_from_u64(21);
-        let est = naive_mc_probability(&d, &probs, 0.02, 0.01, &mut rng);
+        let samples = hoeffding_samples(0.02, 0.01);
+        let est = naive_mc_probability_with_samples(&d, &probs, samples, &mut rng);
         assert!((est - exact).abs() < 0.02, "est {est} vs exact {exact}");
     }
 
@@ -188,27 +135,13 @@ mod tests {
     }
 
     #[test]
-    fn budgeted_zero_draws_reports_exhaustion_not_an_estimate() {
-        // The budgeted path is the sanctioned way to end up with zero
-        // samples: the cause says so explicitly.
-        let d = Dnf::from_terms([vec![Lit::pos(0)]]);
-        let probs = vec![r(1, 2)];
-        let budget = Budget::unlimited().with_max_samples(0);
-        let mut rng = StdRng::seed_from_u64(25);
-        let (_, drawn, exhausted) =
-            naive_mc_probability_budgeted(&d, &probs, 100, &budget, &mut rng);
-        assert_eq!(drawn, 0);
-        assert_eq!(exhausted.unwrap().resource, Resource::Samples);
-    }
-
-    #[test]
     fn sharded_is_thread_count_invariant_and_accurate() {
         let d = Dnf::from_terms([vec![Lit::pos(0)], vec![Lit::pos(1), Lit::neg(2)]]);
         let probs = vec![r(1, 3), r(1, 2), r(1, 4)];
         let exact = dnf_probability_shannon(&d, &probs).to_f64();
-        let serial = naive_mc_probability_sharded(&d, &probs, 40_000, 26, 16, 1);
+        let serial = naive_mc_probability_sharded(&d, &probs, 40_000, 26, 1);
         for threads in [2usize, 4, 8] {
-            let par = naive_mc_probability_sharded(&d, &probs, 40_000, 26, 16, threads);
+            let par = naive_mc_probability_sharded(&d, &probs, 40_000, 26, threads);
             assert_eq!(par.to_bits(), serial.to_bits());
         }
         assert!((serial - exact).abs() < 0.02, "est {serial} vs {exact}");

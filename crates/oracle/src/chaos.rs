@@ -345,8 +345,11 @@ pub fn run_pair(
         return Err("case has no HTTP surface (db/query missing)".into());
     };
 
-    // Fault-free reference — MUST run before `plan.arm()`.
+    // Fault-free reference — MUST run before `plan.arm()`, and under
+    // the fault session so no concurrently armed plan fires inside it.
+    // The session is released before `plan.arm()` takes it again.
     let expected = {
+        let _quiet = qrel_faults::quiesce();
         let ud = spec.build().map_err(|e| e.to_string())?;
         let q = FoQuery::parse(query).map_err(|e| e.to_string())?;
         let solve = Solver::new()

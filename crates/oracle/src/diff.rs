@@ -2,13 +2,13 @@
 //!
 //! Exact engines must agree **bit-for-bit** in exact rationals — the
 //! serial Gray-code enumerator (`exact_probability`, Thm 4.2) is the
-//! oracle, and the parallel enumerator, the budgeted solver's exact
-//! route, the Prop 3.1 quantifier-free fast path, the Thm 5.4
+//! oracle, and the sharded budgeted enumerator, the budgeted solver's
+//! exact route, the Prop 3.1 quantifier-free fast path, the Thm 5.4
 //! grounding + Shannon pipeline, and the bit-sliced world enumerator
 //! (64 worlds per word, dyadic fast-path arithmetic) are all held to
 //! exact equality against it. For DNF events, Shannon expansion is the
-//! oracle and inclusion–exclusion, the ROBDD, the bit-sliced enumerator
-//! (serial and sharded), and the model counters must match.
+//! oracle and inclusion–exclusion, the ROBDD, the bit-sliced enumerator,
+//! and the model counters must match.
 //!
 //! Samplers (Karp–Luby, naive MC, the Thm 5.12 padding estimator, the
 //! Cor 5.5 reliability estimator) are *allowed* to miss: each run is one
@@ -22,20 +22,19 @@ use crate::case::FuzzCase;
 use qrel_arith::BigRational;
 use qrel_budget::Budget;
 use qrel_core::{
-    exact_probability, exact_probability_parallel, exact_reliability, exact_reliability_parallel,
+    exact_probability, exact_reliability, exact_reliability_budgeted,
     existential_probability_bitslice, existential_probability_exact,
-    existential_probability_fptras, qf_reliability, PaddingEstimator, Route,
+    existential_probability_fptras, qf_reliability, ExactOutcome, PaddingEstimator, Route,
 };
 use qrel_count::exact_dnf::dnf_count_models;
 use qrel_count::naive_mc::naive_mc_probability_sharded;
 use qrel_count::{
     bounds::hoeffding_samples, dnf_count_models_bitslice, dnf_probability_bdd,
-    dnf_probability_bitslice, dnf_probability_bitslice_sharded, dnf_probability_ie,
-    dnf_probability_shannon, Bdd, KarpLuby,
+    dnf_probability_bitslice, dnf_probability_ie, dnf_probability_shannon, Bdd, KarpLuby,
 };
 use qrel_eval::{FoQuery, Query};
 use qrel_logic::Fragment;
-use qrel_par::{split_seed, DEFAULT_SHARDS};
+use qrel_par::split_seed;
 use qrel_prob::UnreliableDatabase;
 use qrel_runtime::{Method, Solver};
 use rand::rngs::StdRng;
@@ -45,7 +44,8 @@ use rand::SeedableRng;
 /// one of them (or in the oracle harness itself) — never noise.
 #[derive(Debug, Clone)]
 pub struct Failure {
-    /// Which cross-check failed, e.g. `"exact-parallel"`, `"dnf-ie"`.
+    /// Which cross-check failed, e.g. `"exact-reliability-parallel"`,
+    /// `"dnf-ie"`.
     pub check: String,
     /// Human-readable detail carrying both values.
     pub detail: String,
@@ -145,15 +145,6 @@ fn check_query_case(
         }
     };
 
-    match exact_probability_parallel(ud, query, 3) {
-        Ok(q) if q == p => {}
-        Ok(q) => out.fail(
-            "exact-parallel",
-            format!("parallel enumerator {q} != serial {p}"),
-        ),
-        Err(e) => out.fail("exact-parallel", format!("parallel enumerator failed: {e}")),
-    }
-
     // Reliability side: R = 1 − H (Boolean query), serial vs parallel vs
     // the budgeted solver's exact route.
     let rel = match exact_reliability(ud, query) {
@@ -163,11 +154,15 @@ fn check_query_case(
             return;
         }
     };
-    match exact_reliability_parallel(ud, query, 3) {
-        Ok(r) if r.reliability == rel.reliability => {}
-        Ok(r) => out.fail(
+    match exact_reliability_budgeted(ud, query, &Budget::unlimited(), 3) {
+        Ok(ExactOutcome::Complete(r)) if r.reliability == rel.reliability => {}
+        Ok(ExactOutcome::Complete(r)) => out.fail(
             "exact-reliability-parallel",
             format!("parallel {} != serial {}", r.reliability, rel.reliability),
+        ),
+        Ok(other) => out.fail(
+            "exact-reliability-parallel",
+            format!("unlimited budget tripped: {other:?}"),
         ),
         Err(e) => out.fail("exact-reliability-parallel", format!("failed: {e}")),
     }
@@ -307,15 +302,9 @@ fn check_query_case(
 
     // Thm 5.12 padding estimator: absolute (ε, δ) on ν(ψ).
     let pad_seed = split_seed(base, 0x9AD);
-    match PaddingEstimator::default_xi().estimate_probability_sharded(
-        ud,
-        query,
-        eps,
-        delta,
-        pad_seed,
-        DEFAULT_SHARDS,
-        2,
-    ) {
+    match PaddingEstimator::default_xi()
+        .estimate_probability_sharded(ud, query, eps, delta, pad_seed, 2)
+    {
         Ok(est) => {
             let err = (est.estimate - pf).abs() / eps;
             out.trial("padding", err <= 1.0, err);
@@ -368,20 +357,12 @@ fn check_dnf_case(
         out.fail("dnf-bdd", format!("ROBDD {q} != Shannon {p}"));
     }
 
-    // Bit-sliced world enumeration, serial and sharded (the sharded run
-    // exercises the lane-aligned range splitting and ordered merge).
+    // Bit-sliced world enumeration.
     let q = dnf_probability_bitslice(dnf, probs);
     if q != p {
         out.fail(
             "dnf-bitslice",
             format!("bit-sliced enumerator {q} != Shannon {p}"),
-        );
-    }
-    let q = dnf_probability_bitslice_sharded(dnf, probs, DEFAULT_SHARDS, 2);
-    if q != p {
-        out.fail(
-            "dnf-bitslice-sharded",
-            format!("sharded bit-sliced enumerator {q} != Shannon {p}"),
         );
     }
 
@@ -421,7 +402,12 @@ fn check_dnf_case(
     // Karp–Luby: relative (ε, δ).
     let kl = KarpLuby::new(dnf, probs);
     let samples = kl.samples_for(eps, delta);
-    let report = kl.run_sharded(samples.max(1), split_seed(base, 0x5B), DEFAULT_SHARDS, 2);
+    let (report, _) = kl.run_budgeted(
+        samples.max(1),
+        &Budget::unlimited(),
+        split_seed(base, 0x5B),
+        2,
+    );
     if pf == 0.0 {
         out.trial(
             "karp-luby",
@@ -443,7 +429,6 @@ fn check_dnf_case(
         probs,
         hoeffding_samples(eps, delta).max(1),
         split_seed(base, 0x3C),
-        DEFAULT_SHARDS,
         2,
     );
     let err = (est - pf).abs() / eps;

@@ -72,26 +72,6 @@ pub fn shard_ranges(total: u64, shards: usize) -> Vec<(u64, u64)> {
         .collect()
 }
 
-/// Split `[0, total)` into `shards` contiguous ranges whose boundaries
-/// fall on multiples of `align` (except the final boundary at `total`).
-///
-/// This is the lane-aware variant of [`shard_ranges`] used by the
-/// bit-parallel kernels: work is distributed in whole `align`-sized
-/// blocks (remainder blocks to the earliest shards) so no 64-world lane
-/// block is ever split across two shards. Trailing shards may be empty
-/// when there are fewer blocks than shards.
-///
-/// # Panics
-/// Panics if `shards == 0` or `align == 0`.
-pub fn shard_ranges_aligned(total: u64, shards: usize, align: u64) -> Vec<(u64, u64)> {
-    assert!(align > 0, "alignment must be positive");
-    let blocks = total.div_ceil(align);
-    shard_ranges(blocks, shards)
-        .into_iter()
-        .map(|(bs, be)| ((bs * align).min(total), (be * align).min(total)))
-        .collect()
-}
-
 /// Resolve the worker-thread count: an explicit request wins, then the
 /// `RAYON_NUM_THREADS` environment variable (the conventional knob for
 /// this layer, honored even though the implementation uses scoped std
@@ -230,6 +210,46 @@ where
         .collect()
 }
 
+/// The budgeted fan-out every sharded engine shares: shard `s` runs
+/// `job(s, &children[s])` against its own child context (a child
+/// `qrel_budget::Budget` from `Budget::split`), then each child is
+/// handed to `settle` **in shard order** and the shard results come
+/// back in shard order, together with the first stop cause *by shard
+/// index*. Settling and picking the cause in shard order is what keeps
+/// a counter-capped run identical for every thread count.
+///
+/// # Panics
+/// Panics if `children` is empty or a worker panics.
+pub fn run_settled<C, T, E, F>(
+    children: Vec<C>,
+    threads: usize,
+    mut settle: impl FnMut(&C),
+    job: F,
+) -> (Vec<T>, Option<E>)
+where
+    C: Send,
+    T: Send,
+    E: Send,
+    F: Fn(usize, &C) -> (T, Option<E>) + Sync,
+{
+    let parts = run_shards_with(children, threads, |s, child: C| {
+        let (t, cause) = job(s, &child);
+        (t, cause, child)
+    });
+    let mut first = None;
+    let results = parts
+        .into_iter()
+        .map(|(t, cause, child)| {
+            settle(&child);
+            if first.is_none() {
+                first = cause;
+            }
+            t
+        })
+        .collect();
+    (results, first)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,35 +268,6 @@ mod tests {
     #[test]
     fn split_seed_is_pure() {
         assert_eq!(split_seed(42, 7), split_seed(42, 7));
-    }
-
-    #[test]
-    fn shard_ranges_aligned_boundaries() {
-        for (total, shards, align) in [
-            (1000u64, 16usize, 64u64),
-            (64, 16, 64),
-            (63, 16, 64),
-            (4096, 3, 64),
-            (130, 4, 64),
-            (0, 4, 64),
-            (7, 3, 1),
-        ] {
-            let ranges = shard_ranges_aligned(total, shards, align);
-            assert_eq!(ranges.len(), shards);
-            let mut cursor = 0u64;
-            for &(s, e) in &ranges {
-                assert_eq!(s, cursor, "ranges must be contiguous");
-                assert!(s <= e);
-                // Interior boundaries sit on block multiples.
-                if e != total {
-                    assert_eq!(e % align, 0, "unaligned cut at {e}");
-                }
-                cursor = e;
-            }
-            assert_eq!(cursor, total, "ranges must cover [0, total)");
-        }
-        // align=1 degenerates to plain shard_ranges.
-        assert_eq!(shard_ranges_aligned(100, 7, 1), shard_ranges(100, 7));
     }
 
     #[test]
@@ -327,6 +318,22 @@ mod tests {
         }
         let serial = run_shards_with(contexts, 1, |s, c: String| format!("{s}:{c}"));
         assert_eq!(results, serial);
+    }
+
+    #[test]
+    fn run_settled_settles_and_picks_the_cause_in_shard_order() {
+        for threads in [1usize, 3, 8] {
+            let mut settled = Vec::new();
+            let (results, first) = run_settled(
+                (0..8u64).collect(),
+                threads,
+                |c: &u64| settled.push(*c),
+                |s, c: &u64| (s as u64 * 10 + c, (s % 3 == 2).then_some(s)),
+            );
+            assert_eq!(settled, (0..8).collect::<Vec<_>>());
+            assert_eq!(results, (0..8).map(|s| s * 11).collect::<Vec<_>>());
+            assert_eq!(first, Some(2));
+        }
     }
 
     #[test]

@@ -7,14 +7,13 @@ use std::time::Duration;
 use qrel_arith::BigRational;
 use qrel_budget::{Budget, Exhausted, QrelError, Resource};
 use qrel_core::{
-    approximate_reliability_budgeted_parallel, exact_reliability_budgeted_sharded,
-    qf_reliability_budgeted, ApproxOutcome, ExactOutcome, PaddingEstimator, PaddingOutcome,
-    QfOutcome,
+    approximate_reliability_budgeted, exact_reliability_budgeted, qf_reliability_budgeted,
+    ApproxOutcome, ExactOutcome, PaddingEstimator, PaddingOutcome, QfOutcome,
 };
 use qrel_count::bounds::hoeffding_samples;
 use qrel_eval::{FoQuery, Query};
 use qrel_logic::Fragment;
-use qrel_par::{resolve_threads, run_shards_with, shard_counts, split_seed, DEFAULT_SHARDS};
+use qrel_par::{resolve_threads, run_settled, shard_counts, split_seed, DEFAULT_SHARDS};
 use qrel_prob::{UnreliableDatabase, WorldSampler};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -506,7 +505,7 @@ impl Solver {
         budget: &Budget,
         threads: usize,
     ) -> Result<Rung, QrelError> {
-        match exact_reliability_budgeted_sharded(ud, query, budget, threads)? {
+        match exact_reliability_budgeted(ud, query, budget, threads)? {
             ExactOutcome::Complete(rep) => {
                 let note = format!("completed exactly ({} worlds)", rep.worlds);
                 Ok(Rung::Done(
@@ -544,7 +543,7 @@ impl Solver {
         seed: u64,
         threads: usize,
     ) -> Result<Rung, QrelError> {
-        let outcome = approximate_reliability_budgeted_parallel(
+        let outcome = approximate_reliability_budgeted(
             ud,
             query.formula(),
             query.free_vars(),
@@ -611,16 +610,9 @@ impl Solver {
         threads: usize,
     ) -> Result<Rung, QrelError> {
         let est = PaddingEstimator::default_xi();
-        match est.estimate_reliability_budgeted_sharded(
-            ud,
-            query,
-            self.eps,
-            self.delta,
-            budget,
-            seed,
-            DEFAULT_SHARDS,
-            threads,
-        )? {
+        match est
+            .estimate_reliability_budgeted(ud, query, self.eps, self.delta, budget, seed, threads)?
+        {
             PaddingOutcome::Complete(rep) => {
                 let note = format!(
                     "completed with (ε={}, δ={}) guarantee ({} worlds)",
@@ -682,41 +674,40 @@ impl Solver {
         let t = hoeffding_samples(self.eps, self.delta);
         let counts = shard_counts(t, DEFAULT_SHARDS);
 
-        let children = budget.split(DEFAULT_SHARDS);
-        let parts = run_shards_with(children, threads, |s, child: Budget| {
-            let mut rng = StdRng::seed_from_u64(split_seed(seed, s as u64));
-            let sampler = WorldSampler::new(ud);
-            let mut diff_total = 0u64;
-            let mut drawn = 0u64;
-            let mut cause = None;
-            for _ in 0..counts[s] {
-                if let Err(e) = child.charge(Resource::Samples, 1) {
-                    cause = Some(e);
-                    break;
+        let (parts, cause) = run_settled(
+            budget.split(DEFAULT_SHARDS),
+            threads,
+            |child| budget.settle(child),
+            |s, child: &Budget| {
+                let mut rng = StdRng::seed_from_u64(split_seed(seed, s as u64));
+                let sampler = WorldSampler::new(ud);
+                let mut diff_total = 0u64;
+                let mut drawn = 0u64;
+                let mut cause = None;
+                for _ in 0..counts[s] {
+                    if let Err(e) = child.charge(Resource::Samples, 1) {
+                        cause = Some(e);
+                        break;
+                    }
+                    let answers = match query.answers(&sampler.sample(&mut rng)) {
+                        Ok(a) => a,
+                        Err(e) => return ((diff_total, drawn, Some(e)), cause),
+                    };
+                    diff_total += tuples
+                        .iter()
+                        .filter(|tuple| answers.contains(tuple) != observed.contains(tuple))
+                        .count() as u64;
+                    drawn += 1;
                 }
-                let answers = match query.answers(&sampler.sample(&mut rng)) {
-                    Ok(a) => a,
-                    Err(e) => return (diff_total, drawn, cause, Some(e), child),
-                };
-                diff_total += tuples
-                    .iter()
-                    .filter(|tuple| answers.contains(tuple) != observed.contains(tuple))
-                    .count() as u64;
-                drawn += 1;
-            }
-            (diff_total, drawn, cause, None, child)
-        });
+                ((diff_total, drawn, None), cause)
+            },
+        );
         let mut diff_total = 0u64;
         let mut drawn = 0u64;
-        let mut cause: Option<Exhausted> = None;
         let mut failure: Option<qrel_eval::EvalError> = None;
-        for (part_diff, part_drawn, part_cause, part_failure, child) in parts {
-            budget.settle(&child);
+        for (part_diff, part_drawn, part_failure) in parts {
             diff_total += part_diff;
             drawn += part_drawn;
-            if cause.is_none() {
-                cause = part_cause;
-            }
             if failure.is_none() {
                 failure = part_failure;
             }

@@ -1,7 +1,7 @@
 //! Sharded, byte-capped LRU cache for solve results.
 //!
-//! Keyed by everything the answer is a function of — canonical database
-//! hash, canonical query text, free-variable order, method, `ε`/`δ`
+//! Keyed by everything the answer is a function of — the store's
+//! database hash, canonical query text, free-variable order, method, `ε`/`δ`
 //! (bit patterns, so `0.1` and `0.1000…1` never collide), and seed —
 //! and storing the exact serialized response body, so a hit returns the
 //! byte-identical JSON a fresh solve would produce. Sharding keeps lock
@@ -26,7 +26,9 @@ pub const CACHE_SHARDS: usize = 8;
 /// Everything a cached answer is a function of.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CacheKey {
-    /// FNV-1a hash of the canonical (re-serialized) database spec.
+    /// The store's db-hash of the model (`qrel_store::db_hash_of`), the
+    /// same value whether the dataset arrived inline, preloaded, or
+    /// from the store.
     pub db_hash: u64,
     /// Canonical query text (display form of the parsed formula).
     pub query: String,
@@ -59,10 +61,10 @@ pub fn canonical_f64_bits(x: f64) -> u64 {
     }
 }
 
-/// Stable 64-bit FNV-1a, used for the canonical database hash and for
-/// shard selection (std's `DefaultHasher` is explicitly unspecified
-/// across releases; cache keys must hash identically forever so that
-/// recorded experiments stay reproducible).
+/// Stable 64-bit FNV-1a, used for shard selection, the coalesce
+/// fingerprint, and entry checksums (std's `DefaultHasher` is explicitly
+/// unspecified across releases; cache keys must hash identically
+/// forever so that recorded experiments stay reproducible).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -602,7 +604,7 @@ mod tests {
 
     #[test]
     fn fnv1a_is_stable() {
-        // Pinned values: the canonical db hash is part of recorded
+        // Pinned values: key fingerprints are part of recorded
         // experiment output, so the function must never change.
         assert_eq!(fnv1a(b""), 0xcbf29ce484222325);
         assert_eq!(fnv1a(b"a"), 0xaf63dc4c8601ec8c);

@@ -32,7 +32,7 @@
 //!   the workers; when it is full new connections get `429` +
 //!   `Retry-After` instead of queueing without bound.
 //! - **Result caching**: a sharded, byte-capped LRU keyed by the
-//!   canonical database hash, canonical query, method, ε/δ bits, and
+//!   store's database hash, canonical query, method, ε/δ bits, and
 //!   seed. Only deterministic reports are cached (wall-clock or
 //!   cancellation trips are machine-dependent), so a cache hit is
 //!   *bit-identical* to the fresh solve it replaces.
@@ -58,7 +58,9 @@ pub use protocol::{
     solve_response_body, status_is_retryable, DbRef, ErrorEnvelope, SolveRequest,
 };
 pub use qrel_sched::Priority;
+/// The cache key's db-hash under its historical name, kept because the
+/// serve benchmark (`servebench/`) imports it.
+pub use qrel_store::db_hash_of as canonical_db_hash;
 pub use server::{
-    canonical_db_hash, install_shutdown_signals, DrainReport, ServeError, Server, ServerConfig,
-    ServerHandle,
+    install_shutdown_signals, DrainReport, ServeError, Server, ServerConfig, ServerHandle,
 };

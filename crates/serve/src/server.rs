@@ -36,11 +36,11 @@ use qrel_eval::FoQuery;
 use qrel_prob::{UnreliableDatabase, UnreliableDatabaseSpec};
 use qrel_runtime::{Method, ProgressHook, Solver};
 use qrel_sched::{CancelOutcome, JobCtx, JobState, Priority, SchedConfig, Scheduler, SubmitError};
-use qrel_store::{live_fact_count, Mutation, Store, StoreError};
+use qrel_store::{db_hash_of, live_fact_count, Mutation, Store, StoreError};
 use serde::Value;
 use serde_json::ParseLimits;
 
-use crate::cache::{fnv1a, CacheKey, PlanCache, PlanStatus, ResultCache};
+use crate::cache::{CacheKey, PlanCache, PlanStatus, ResultCache};
 use crate::health::{compute_retry_after, Admission, Breakers, HealthState, RateEstimator};
 use crate::http::{read_request, write_response, HttpError, Request, Response};
 use crate::metrics::{render_sched, Metrics};
@@ -186,12 +186,13 @@ impl From<std::io::Error> for ServeError {
     }
 }
 
-/// A live dataset: the built model plus its canonical hash (computed
-/// when the dataset is loaded or mutated, shared by every request that
-/// names it) and the live-fact count `/healthz` reports. Preloads keep
-/// the spec-serialization hash; store-backed datasets carry the store's
-/// incrementally maintained db-hash, so a fact mutation moves exactly
-/// this dataset's cache keys and nobody else's.
+/// A live dataset: the built model plus its db-hash (computed when the
+/// dataset is loaded or mutated, shared by every request that names it)
+/// and the live-fact count `/healthz` reports. Every source uses the
+/// store's hash: preloads compute [`db_hash_of`] once at startup, and
+/// store-backed datasets carry the store's incrementally maintained
+/// value, so a fact mutation moves exactly this dataset's cache keys
+/// and nobody else's.
 struct PreparedDb {
     ud: Arc<UnreliableDatabase>,
     hash: u64,
@@ -199,16 +200,6 @@ struct PreparedDb {
     /// `true` when the dataset lives in the persistent store (and is
     /// therefore mutable via `/v1/datasets/{name}/facts`).
     stored: bool,
-}
-
-/// Canonical database hash: FNV-1a over the *re-serialized* spec, so
-/// an inline spec and a preloaded dataset describing the same model
-/// share one cache entry regardless of field order or formatting in
-/// the original JSON.
-pub fn canonical_db_hash(ud: &UnreliableDatabase) -> u64 {
-    let spec = UnreliableDatabaseSpec::from_model(ud);
-    let text = serde_json::to_string(&spec).expect("spec serialization is infallible");
-    fnv1a(text.as_bytes())
 }
 
 // ---------------------------------------------------------------------------
@@ -810,7 +801,7 @@ impl Server {
         let spec: UnreliableDatabaseSpec =
             serde_json::from_str(&text).map_err(|e| format!("bad spec JSON: {e}"))?;
         let ud = spec.build().map_err(|e| format!("invalid spec: {e}"))?;
-        let hash = canonical_db_hash(&ud);
+        let hash = db_hash_of(&ud);
         let facts = live_fact_count(&ud);
         Ok(PreparedDb {
             ud: Arc::new(ud),
@@ -1183,8 +1174,8 @@ fn admit_solve(shared: &Shared, req: &Request) -> Result<SolveAdmission, Respons
         None => "default".to_string(),
     };
 
-    // Resolve the database: preloaded (hash already computed) or
-    // inline (built and canonically hashed per request).
+    // Resolve the database: preloaded or stored (hash already computed)
+    // or inline (built and hashed per request, with the same db-hash).
     let (ud, db_hash): (Arc<UnreliableDatabase>, u64) = match &sreq.db {
         DbRef::Named(name) => {
             let datasets = shared.datasets.read().expect("registry poisoned");
@@ -1206,7 +1197,7 @@ fn admit_solve(shared: &Shared, req: &Request) -> Result<SolveAdmission, Respons
         }
         DbRef::Inline(spec) => match spec.build() {
             Ok(b) => {
-                let hash = canonical_db_hash(&b);
+                let hash = db_hash_of(&b);
                 (Arc::new(b), hash)
             }
             Err(e) => {

@@ -80,7 +80,9 @@ pub mod prelude {
         reductions,
         reliability_approx::approximate_reliability,
     };
-    pub use qrel_count::{count_mon2sat, dnf_probability_shannon, naive_mc_probability, KarpLuby};
+    pub use qrel_count::{
+        count_mon2sat, dnf_probability_shannon, naive_mc_probability_with_samples, KarpLuby,
+    };
     pub use qrel_db::{
         datalog::DatalogProgram, Database, DatabaseBuilder, Element, Fact, Relation, Universe,
     };

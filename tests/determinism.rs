@@ -10,7 +10,6 @@ use qrel::count::naive_mc::naive_mc_probability_sharded;
 use qrel::count::KarpLuby;
 use qrel::logic::prop::{Dnf, Lit};
 use qrel::prelude::{Budget, DatabaseBuilder, FoQuery, Method, Solver, UnreliableDatabase};
-use qrel_par::DEFAULT_SHARDS;
 
 fn r(n: i64, d: u64) -> BigRational {
     BigRational::from_ratio(n, d)
@@ -35,13 +34,18 @@ fn samplers_are_bit_identical_across_thread_counts_and_reruns() {
     ]);
     let probs = vec![r(2, 5); 4];
     let kl = KarpLuby::new(&d, &probs);
-    let kl_base = kl.run_sharded(20_000, 7, DEFAULT_SHARDS, 1).estimate;
-    let mc_base = naive_mc_probability_sharded(&d, &probs, 20_000, 7, DEFAULT_SHARDS, 1);
+    let kl_base = kl
+        .run_budgeted(20_000, &Budget::unlimited(), 7, 1)
+        .0
+        .estimate;
+    let mc_base = naive_mc_probability_sharded(&d, &probs, 20_000, 7, 1);
     for threads in [1usize, 2, 4, 8] {
         for _rerun in 0..2 {
-            let kl_est = kl.run_sharded(20_000, 7, DEFAULT_SHARDS, threads).estimate;
-            let mc_est =
-                naive_mc_probability_sharded(&d, &probs, 20_000, 7, DEFAULT_SHARDS, threads);
+            let kl_est = kl
+                .run_budgeted(20_000, &Budget::unlimited(), 7, threads)
+                .0
+                .estimate;
+            let mc_est = naive_mc_probability_sharded(&d, &probs, 20_000, 7, threads);
             assert_eq!(
                 kl_est.to_bits(),
                 kl_base.to_bits(),

@@ -1,18 +1,17 @@
 //! The determinism contract for the bit-parallel world engine: packing
-//! 64 worlds into a machine word, sharding the block space, or cutting
-//! a range mid-block may change only wall-clock time — never a bit of
-//! the answer. Exact rational addition is associative and shard
-//! boundaries are lane-aligned, so every configuration below must be
-//! structurally equal, not merely close.
+//! 64 worlds into a machine word may change only wall-clock time —
+//! never a bit of the answer. Exact rational addition is associative,
+//! so every configuration below must be structurally equal, not merely
+//! close.
 
 use qrel::arith::{BigRational, BigUint};
 use qrel::count::naive_mc::naive_mc_probability_sharded;
 use qrel::count::{
-    dnf_count_models_bitslice, dnf_probability_bitslice, dnf_probability_bitslice_range,
-    dnf_probability_bitslice_sharded, dnf_probability_enum, dnf_probability_shannon, KarpLuby,
+    dnf_count_models_bitslice, dnf_probability_bitslice, dnf_probability_enum,
+    dnf_probability_shannon, KarpLuby,
 };
 use qrel::logic::prop::{Dnf, Lit};
-use qrel_par::DEFAULT_SHARDS;
+use qrel::prelude::Budget;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -77,48 +76,6 @@ fn bitslice_equals_shannon_and_enumeration_bit_for_bit() {
 }
 
 #[test]
-fn sharded_bitslice_is_invariant_in_shards_and_threads() {
-    for (i, (d, probs)) in instances().iter().enumerate() {
-        let serial = dnf_probability_bitslice(d, probs);
-        for shards in [1usize, 3, DEFAULT_SHARDS, 64] {
-            for threads in [1usize, 2, 4, 8] {
-                let sharded = dnf_probability_bitslice_sharded(d, probs, shards, threads);
-                assert_eq!(
-                    sharded, serial,
-                    "instance {i}: {shards} shards on {threads} threads \
-                     changed the exact answer"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn unaligned_mid_block_ranges_sum_to_the_total() {
-    // Range cuts that land mid-block (not multiples of 64) exercise the
-    // partial-block lane masks on both sides of every cut.
-    for (i, (d, probs)) in instances().iter().enumerate() {
-        // The kernel's world space is indexed by the formula's variable
-        // bound (trailing unused variables integrate out exactly).
-        let total_worlds = 1u64 << d.var_bound();
-        let serial = dnf_probability_bitslice(d, probs);
-        for cuts in [vec![1u64], vec![7, 65], vec![3, 64, 100, 129]] {
-            let mut bounds: Vec<u64> = cuts.iter().copied().filter(|&c| c < total_worlds).collect();
-            bounds.insert(0, 0);
-            bounds.push(total_worlds);
-            let mut sum = BigRational::zero();
-            for w in bounds.windows(2) {
-                sum = sum.add_ref(&dnf_probability_bitslice_range(d, probs, w[0], w[1]));
-            }
-            assert_eq!(
-                sum, serial,
-                "instance {i}: ranges cut at {cuts:?} did not resum to the total"
-            );
-        }
-    }
-}
-
-#[test]
 fn model_counting_matches_the_uniform_shannon_identity() {
     // Under p = 1/2 everywhere, #models = Pr[φ] · 2^n exactly.
     let mut rng = StdRng::seed_from_u64(0xc0de);
@@ -155,12 +112,17 @@ fn packed_samplers_are_bit_identical_across_thread_counts() {
     let wide = random_dnf(&mut rng, 70, 12, 3);
     let probs: Vec<BigRational> = (0..70).map(|i| r(1 + (i as i64 % 3), 5)).collect();
     let kl = KarpLuby::new(&wide, &probs);
-    let kl_base = kl.run_sharded(20_000, 9, DEFAULT_SHARDS, 1).estimate;
-    let mc_base = naive_mc_probability_sharded(&wide, &probs, 20_000, 9, DEFAULT_SHARDS, 1);
+    let kl_base = kl
+        .run_budgeted(20_000, &Budget::unlimited(), 9, 1)
+        .0
+        .estimate;
+    let mc_base = naive_mc_probability_sharded(&wide, &probs, 20_000, 9, 1);
     for threads in [2usize, 4, 8] {
-        let kl_est = kl.run_sharded(20_000, 9, DEFAULT_SHARDS, threads).estimate;
-        let mc_est =
-            naive_mc_probability_sharded(&wide, &probs, 20_000, 9, DEFAULT_SHARDS, threads);
+        let kl_est = kl
+            .run_budgeted(20_000, &Budget::unlimited(), 9, threads)
+            .0
+            .estimate;
+        let mc_est = naive_mc_probability_sharded(&wide, &probs, 20_000, 9, threads);
         assert_eq!(
             kl_est.to_bits(),
             kl_base.to_bits(),

@@ -160,9 +160,9 @@ fn cache_hit_is_bit_identical_and_visible_in_metrics() {
 
 #[test]
 fn inline_db_and_preloaded_dataset_share_cache_entries() {
-    // The canonical database hash is computed from the *re-serialized*
-    // spec, so posting the dataset file's contents inline must hit the
-    // entry a named solve populated.
+    // Every source is keyed by the store's db-hash of the built model,
+    // so posting the dataset file's contents inline must hit the entry
+    // a named solve populated.
     let (addr, handle, join) = boot(uncertain16_config());
     let named = r#"{"dataset":"uncertain16","query":"exists x. S(x)","method":"exact"}"#;
     let (s1, h1, b1) = http(addr, "POST", "/v1/solve", named);
@@ -181,6 +181,58 @@ fn inline_db_and_preloaded_dataset_share_cache_entries() {
 
     handle.shutdown();
     join.join().unwrap();
+}
+
+#[test]
+fn inline_preloaded_and_stored_datasets_share_one_db_hash() {
+    // The same model gets one cache key whatever its source: an inline
+    // spec, a preloaded file, or a store entry. The stored copy uses its
+    // own name, because a stored entry shadows a preload of the same name.
+    let dir = std::env::temp_dir().join(format!("qrel-serve-onehash-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let spec_text = std::fs::read_to_string(data_path("example.json")).unwrap();
+    let spec: UnreliableDatabaseSpec = serde_json::from_str(&spec_text).unwrap();
+    let ingested = qrel::store::Store::init(&dir)
+        .unwrap()
+        .ingest_spec("stored", &spec)
+        .unwrap();
+    let (addr, handle, join) = boot(ServerConfig {
+        workers: 2,
+        preload: vec![data_path("example.json")],
+        store: Some(dir.clone()),
+        ..ServerConfig::default()
+    });
+
+    let query = r#""query":"exists x. Knows(x,'carol')","method":"exact","seed":3"#;
+    let (s1, h1, b1) = http(
+        addr,
+        "POST",
+        "/v1/solve",
+        &format!(r#"{{"db":{spec_text},{query}}}"#),
+    );
+    assert_eq!(s1, 200, "{b1}");
+    assert_eq!(header(&h1, "X-Qrel-Cache"), Some("miss"));
+    for name in ["example", "stored"] {
+        let (s, h, b) = http(
+            addr,
+            "POST",
+            "/v1/solve",
+            &format!(r#"{{"dataset":"{name}",{query}}}"#),
+        );
+        assert_eq!(s, 200, "{name}: {b}");
+        assert_eq!(header(&h, "X-Qrel-Cache"), Some("hit"), "{name}");
+        assert_eq!(b, b1, "{name}: a hit must be byte-identical");
+    }
+
+    let (status, _, list) = http(addr, "GET", "/v1/datasets", "");
+    assert_eq!(status, 200, "{list}");
+    let hash = format!(r#""db_hash":"{:016x}""#, ingested.db_hash);
+    assert_eq!(list.matches(r#""db_hash":""#).count(), 2, "{list}");
+    assert_eq!(list.matches(&hash).count(), 2, "{list}");
+
+    handle.shutdown();
+    join.join().unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

@@ -15,9 +15,9 @@ use qrel::count::naive_mc::naive_mc_probability_sharded;
 use qrel::count::{dnf_probability_shannon, KarpLuby};
 use qrel::logic::prop::{Dnf, Lit};
 use qrel::prelude::{
-    exact_probability, DatabaseBuilder, Fact, FoQuery, PaddingEstimator, UnreliableDatabase,
+    exact_probability, Budget, DatabaseBuilder, Fact, FoQuery, PaddingEstimator, UnreliableDatabase,
 };
-use qrel_par::{split_seed, DEFAULT_SHARDS};
+use qrel_par::split_seed;
 
 fn r(n: i64, d: u64) -> BigRational {
     BigRational::from_ratio(n, d)
@@ -54,7 +54,8 @@ fn karp_luby_sharded_meets_its_relative_epsilon_delta_contract() {
     let trials = 80u64;
     let failures = (0..trials)
         .filter(|&i| {
-            let rep = kl.run_sharded(samples, split_seed(0x5747_0001, i), DEFAULT_SHARDS, 4);
+            let seed = split_seed(0x5747_0001, i);
+            let (rep, _) = kl.run_budgeted(samples, &Budget::unlimited(), seed, 4);
             (rep.estimate - exact).abs() / exact > eps
         })
         .count() as u64;
@@ -75,14 +76,8 @@ fn naive_mc_sharded_meets_its_hoeffding_contract() {
     let trials = 200u64;
     let failures = (0..trials)
         .filter(|&i| {
-            let est = naive_mc_probability_sharded(
-                &d,
-                &probs,
-                samples,
-                split_seed(0x5747_0002, i),
-                DEFAULT_SHARDS,
-                4,
-            );
+            let est =
+                naive_mc_probability_sharded(&d, &probs, samples, split_seed(0x5747_0002, i), 4);
             (est - exact).abs() > eps
         })
         .count() as u64;
@@ -124,7 +119,6 @@ fn padding_estimator_sharded_meets_its_absolute_epsilon_delta_contract() {
                     eps,
                     delta,
                     split_seed(0x5747_0003, i),
-                    DEFAULT_SHARDS,
                     4,
                 )
                 .unwrap();

@@ -83,6 +83,9 @@ proptest! {
 
     #[test]
     fn reopen_is_bit_identical(ud in ud_strategy()) {
+        // Commit under the fault session, so the kill test's armed
+        // plan can never fire inside this test's commits.
+        let _quiet = qrel_faults::quiesce();
         let dir = tmp("prop");
         let spec = UnreliableDatabaseSpec::from_model(&ud);
         let mut store = Store::init(&dir).unwrap();
@@ -109,6 +112,7 @@ proptest! {
 
     #[test]
     fn compaction_preserves_solve_bytes(ud in ud_strategy()) {
+        let _quiet = qrel_faults::quiesce();
         let dir = tmp("compact");
         let spec = UnreliableDatabaseSpec::from_model(&ud);
         let mut store = Store::init(&dir).unwrap();
