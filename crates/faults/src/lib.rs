@@ -43,7 +43,8 @@ pub mod points {
     /// Stall the connection read path in a serve worker.
     pub const SERVE_CONN_SLOW_READ: &str = "serve.conn.slow_read";
     /// Panic at the start of ladder rung `<method>`:
-    /// `runtime.rung.<method>.panic` (method ∈ qf|exact|fptras|padding|mc).
+    /// `runtime.rung.<method>.panic`, where `<method>` is the name of any
+    /// rung in the runtime's `Method::RUNGS` (`plan` included).
     pub const RUNTIME_RUNG_PANIC_PREFIX: &str = "runtime.rung.";
     /// Stall ladder rung `<method>` for `delay_ms`:
     /// `runtime.rung.<method>.stall`.

@@ -2,16 +2,19 @@
 //!
 //! Exact engines must agree **bit-for-bit** in exact rationals — the
 //! serial Gray-code enumerator (`exact_probability`, Thm 4.2) is the
-//! oracle, and the sharded budgeted enumerator, the budgeted solver's
-//! exact route, the Prop 3.1 quantifier-free fast path, the Thm 5.4
-//! grounding + Shannon pipeline, and the bit-sliced world enumerator
-//! (64 worlds per word, dyadic fast-path arithmetic) are all held to
-//! exact equality against it. For DNF events, Shannon expansion is the
-//! oracle and inclusion–exclusion, the ROBDD, the bit-sliced enumerator,
-//! and the model counters must match.
+//! oracle, and the safe-plan evaluator, the Thm 5.4 grounding + Shannon
+//! pipeline, and the bit-sliced world enumerator (64 worlds per word,
+//! dyadic fast-path arithmetic) are all held to exact equality against
+//! it. For DNF events, Shannon expansion is the oracle and
+//! inclusion–exclusion, the ROBDD, the bit-sliced enumerator, and the
+//! model counters must match.
+//!
+//! Every rung in [`Method::RUNGS`] also runs alone through
+//! [`Solver::with_method`], judged by one exhaustive `match`
+//! (`rung_rule`), so a new rung cannot ship without oracle coverage.
 //!
 //! Samplers (Karp–Luby, naive MC, the Thm 5.12 padding estimator, the
-//! Cor 5.5 reliability estimator) are *allowed* to miss: each run is one
+//! sampling rungs) are *allowed* to miss: each run is one
 //! Bernoulli trial whose failure probability is bounded by δ. Trials are
 //! therefore returned to the caller, which aggregates failure counts per
 //! engine across the whole fuzz run and only flags an engine whose
@@ -22,9 +25,8 @@ use crate::case::FuzzCase;
 use qrel_arith::BigRational;
 use qrel_budget::Budget;
 use qrel_core::{
-    exact_probability, exact_reliability, exact_reliability_budgeted,
-    existential_probability_bitslice, existential_probability_exact,
-    existential_probability_fptras, qf_reliability, ExactOutcome, PaddingEstimator, Route,
+    exact_probability, exact_reliability, existential_probability_bitslice,
+    existential_probability_exact, existential_probability_fptras, PaddingEstimator, Route,
 };
 use qrel_count::exact_dnf::dnf_count_models;
 use qrel_count::naive_mc::naive_mc_probability_sharded;
@@ -33,10 +35,10 @@ use qrel_count::{
     dnf_probability_bitslice, dnf_probability_ie, dnf_probability_shannon, Bdd, KarpLuby,
 };
 use qrel_eval::{FoQuery, Query};
-use qrel_logic::Fragment;
+use qrel_logic::{Formula, Fragment};
 use qrel_par::split_seed;
 use qrel_prob::UnreliableDatabase;
-use qrel_runtime::{Method, Solver};
+use qrel_runtime::{Confidence, Method, Solver};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -44,8 +46,7 @@ use rand::SeedableRng;
 /// one of them (or in the oracle harness itself) — never noise.
 #[derive(Debug, Clone)]
 pub struct Failure {
-    /// Which cross-check failed, e.g. `"exact-reliability-parallel"`,
-    /// `"dnf-ie"`.
+    /// Which cross-check failed, e.g. `"rung-exact"`, `"dnf-ie"`.
     pub check: String,
     /// Human-readable detail carrying both values.
     pub detail: String,
@@ -54,8 +55,8 @@ pub struct Failure {
 /// One sampler run, judged against its (ε, δ) envelope.
 #[derive(Debug, Clone)]
 pub struct SamplerTrial {
-    /// Engine name, e.g. `"karp-luby"`, `"padding"`.
-    pub engine: &'static str,
+    /// Engine name, e.g. `"karp-luby"`, `"padding"`, `"rung-mc"`.
+    pub engine: String,
     /// Whether the estimate landed inside the envelope.
     pub ok: bool,
     /// Envelope-normalized error (1.0 = exactly at the boundary).
@@ -67,6 +68,8 @@ pub struct SamplerTrial {
 pub struct CheckOutcome {
     pub failures: Vec<Failure>,
     pub trials: Vec<SamplerTrial>,
+    /// The solver rungs that answered the case rather than declining.
+    pub answered: Vec<Method>,
 }
 
 impl CheckOutcome {
@@ -77,7 +80,8 @@ impl CheckOutcome {
         });
     }
 
-    fn trial(&mut self, engine: &'static str, ok: bool, err: f64) {
+    fn trial(&mut self, engine: impl Into<String>, ok: bool, err: f64) {
+        let engine = engine.into();
         self.trials.push(SamplerTrial { engine, ok, err });
     }
 }
@@ -115,7 +119,7 @@ pub fn check_case_salted(
         if !query.formula().free_vars().is_empty() {
             return Err(format!("query {text:?} is not a sentence"));
         }
-        check_query_case(case, base, &ud, &query, eps, delta, sample, &mut out);
+        check_query_case(base, &ud, &query, eps, delta, sample, &mut out);
     } else {
         let spec = case.dnf.as_ref().expect("validated by build_db");
         let (dnf, probs) = spec.build()?;
@@ -124,9 +128,7 @@ pub fn check_case_salted(
     Ok(out)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn check_query_case(
-    case: &FuzzCase,
     base: u64,
     ud: &UnreliableDatabase,
     query: &FoQuery,
@@ -145,74 +147,32 @@ fn check_query_case(
         }
     };
 
-    // Reliability side: R = 1 − H (Boolean query), serial vs parallel vs
-    // the budgeted solver's exact route.
+    // Reliability side: R = 1 − H (Boolean query).
     let rel = match exact_reliability(ud, query) {
-        Ok(r) => r,
+        Ok(r) => r.reliability,
         Err(e) => {
             out.fail("exact-reliability", format!("evaluation failed: {e}"));
             return;
         }
     };
-    match exact_reliability_budgeted(ud, query, &Budget::unlimited(), 3) {
-        Ok(ExactOutcome::Complete(r)) if r.reliability == rel.reliability => {}
-        Ok(ExactOutcome::Complete(r)) => out.fail(
-            "exact-reliability-parallel",
-            format!("parallel {} != serial {}", r.reliability, rel.reliability),
-        ),
-        Ok(other) => out.fail(
-            "exact-reliability-parallel",
-            format!("unlimited budget tripped: {other:?}"),
-        ),
-        Err(e) => out.fail("exact-reliability-parallel", format!("failed: {e}")),
-    }
-
-    match Solver::new()
-        .with_method(Method::Exact)
-        .with_threads(2)
-        .with_seed(case.seed)
-        .solve(ud, query, &Budget::unlimited())
-    {
-        Ok(report) => match &report.exact {
-            Some(r) if *r == rel.reliability => {}
-            Some(r) => out.fail(
-                "solver-exact",
-                format!("solver exact {} != library {}", r, rel.reliability),
-            ),
-            None => out.fail(
-                "solver-exact",
-                "Method::Exact produced no exact rational".to_string(),
-            ),
-        },
-        Err(e) => out.fail("solver-exact", format!("solver failed: {e}")),
-    }
 
     // Safe-plan compiler (the dichotomy's PTIME side). Where the shape
-    // compiles, the extensional plan must match the Thm 4.2 enumerator
-    // bit-for-bit on both quantities; where it declines, the decline
-    // must be legitimate — cross-checked against the *independent*
-    // pairwise hierarchy test, which must never contradict the
-    // compiler on the fragment where it is decisive.
-    match qrel_plan::compile(formula) {
+    // compiles, the extensional plan's probability must match the Thm 4.2
+    // enumerator bit-for-bit (its reliability is the `plan` rung's, judged
+    // below); where it declines, the decline must be legitimate —
+    // cross-checked against the *independent* pairwise hierarchy test,
+    // which must never contradict the compiler on the fragment where it
+    // is decisive.
+    let compiled = qrel_plan::compile(formula);
+    match &compiled {
         Ok(plan) => {
-            match qrel_plan::sentence_probability(ud, &plan) {
+            match qrel_plan::sentence_probability(ud, plan) {
                 Ok(q) if q == p => {}
                 Ok(q) => out.fail(
                     "safe-plan",
                     format!("plan probability {q} != enumerator {p}"),
                 ),
                 Err(e) => out.fail("safe-plan", format!("plan evaluation failed: {e}")),
-            }
-            match qrel_plan::reliability(ud, &plan, formula, query.free_vars()) {
-                Ok(r) if r.reliability == rel.reliability => {}
-                Ok(r) => out.fail(
-                    "safe-plan-reliability",
-                    format!(
-                        "plan reliability {} != enumerator {}",
-                        r.reliability, rel.reliability
-                    ),
-                ),
-                Err(e) => out.fail("safe-plan-reliability", format!("failed: {e}")),
             }
             if qrel_plan::pairwise_hierarchical(formula) == Some(false) {
                 out.fail(
@@ -242,28 +202,48 @@ fn check_query_case(
         }
     };
     let expected_rel = if observed { p.clone() } else { p.one_minus() };
-    if rel.reliability != expected_rel {
+    if rel != expected_rel {
         out.fail(
             "prob-vs-reliability",
-            format!(
-                "R = {} but Pr[ψ] = {p} with 𝔄 ⊨ ψ = {observed} implies R = {expected_rel}",
-                rel.reliability
-            ),
+            format!("R = {rel} but Pr[ψ] = {p} with 𝔄 ⊨ ψ = {observed} implies R = {expected_rel}"),
         );
     }
 
-    // Prop 3.1 fast path (quantifier-free sentences).
-    if formula.is_quantifier_free() {
-        match qf_reliability(ud, formula, &[]) {
-            Ok(r) if r.reliability == rel.reliability => {}
-            Ok(r) => out.fail(
-                "qf-fast-path",
-                format!(
-                    "Prop 3.1 reliability {} != enumerator {}",
-                    r.reliability, rel.reliability
-                ),
+    // Every rung alone, as an explicit `method` request runs it, under an
+    // unlimited budget: an exact answer must be the Thm 4.2 rational, an
+    // (ε, δ) answer is one absolute-error trial, and a partial answer or
+    // an error fails `rung-<name>` unless the rung may decline.
+    for &rung in Method::RUNGS {
+        let (samples, may_decline) = rung_rule(rung, formula, compiled.is_err());
+        if samples && !sample {
+            continue;
+        }
+        let check = format!("rung-{rung}");
+        let report = match Solver::new()
+            .with_method(rung)
+            .with_accuracy(eps, delta)
+            .with_seed(split_seed(base, 0x2E60 + rung.index() as u64))
+            .with_threads(3)
+            .solve(ud, query, &Budget::unlimited())
+        {
+            Ok(report) => report,
+            Err(_) if may_decline => continue,
+            Err(e) => {
+                out.fail(&check, format!("failed: {e}"));
+                continue;
+            }
+        };
+        out.answered.push(rung);
+        match (&report.confidence, &report.exact) {
+            (Confidence::Exact, Some(r)) if *r == rel => {}
+            (Confidence::Fptras { eps, .. }, _) => {
+                let err = (report.reliability - rel.to_f64()).abs() / eps;
+                out.trial(check, err <= 1.0, err);
+            }
+            (confidence, exact) => out.fail(
+                &check,
+                format!("{confidence} answer {exact:?} != enumerator {rel}"),
             ),
-            Err(e) => out.fail("qf-fast-path", format!("failed: {e}")),
         }
     }
 
@@ -331,6 +311,32 @@ fn check_query_case(
             }
             Err(e) => out.fail("fptras", format!("failed: {e}")),
         }
+    }
+}
+
+/// How the oracle judges `rung` on `formula`: `(samples, may_decline)`.
+/// A sampling rung answers with an `(ε, δ)` estimate, so it runs only
+/// when sampling is on. Exhaustive with no `_` arm, so a new rung does
+/// not compile until it is judged here. `Plan` declines exactly when the
+/// compiler does: the sjf-CQ dichotomy puts every unsafe shape outside
+/// the extensional class, and `safe-plan-safety` referees those declines.
+fn rung_rule(rung: Method, formula: &Formula, plan_declines: bool) -> (bool, bool) {
+    match rung {
+        Method::Auto => unreachable!("Auto is not a rung"),
+        Method::Plan => (false, plan_declines),
+        Method::Qf => (false, !formula.is_quantifier_free()),
+        Method::Exact => (false, false),
+        Method::Fptras => (
+            true,
+            !matches!(
+                formula.fragment(),
+                Fragment::QuantifierFree
+                    | Fragment::Conjunctive
+                    | Fragment::Existential
+                    | Fragment::Universal
+            ),
+        ),
+        Method::Padding | Method::NaiveMc => (true, false),
     }
 }
 
@@ -442,38 +448,56 @@ mod tests {
 
     #[test]
     fn clean_engines_agree_on_every_family() {
+        // The rungs run fault-instrumented solver code, and this crate's
+        // chaos tests arm process-global fault plans: hold the plane quiet.
+        let _quiet = qrel_faults::quiesce();
+        // Sampling on, so every rung runs; the loose envelope keeps the
+        // samplers cheap (their accuracy is the next test's business).
+        let mut answered = Vec::new();
         for family in gen::FAMILIES {
             for seed in 0..8 {
                 let case = gen::generate(seed, family);
-                let out = check_case(&case, 0.2, 0.2, false)
+                let out = check_case(&case, 0.5, 0.5, true)
                     .unwrap_or_else(|e| panic!("{family}/{seed}: {e}"));
                 assert!(
                     out.failures.is_empty(),
                     "{family}/{seed}: {:?}",
                     out.failures
                 );
+                answered.extend(out.answered);
             }
+        }
+        // No rung passes vacuously by declining every generated case.
+        for rung in Method::RUNGS {
+            assert!(answered.contains(rung), "{rung} never answered a case");
         }
     }
 
     #[test]
     fn sampler_trials_mostly_pass() {
+        let _quiet = qrel_faults::quiesce();
         // δ = 0.2 across a handful of trials: a single failure is
         // tolerable, systematic failure is not.
         let mut failures = 0u32;
         let mut trials = 0u32;
+        let mut rung_trials = 0u32;
         for (i, family) in ["dnf", "qf", "sjf-cq"].iter().enumerate() {
             let case = gen::generate(100 + i as u64, family);
             let out = check_case(&case, 0.25, 0.2, true).unwrap();
             assert!(out.failures.is_empty(), "{family}: {:?}", out.failures);
             for t in &out.trials {
                 trials += 1;
+                if t.engine.starts_with("rung-") {
+                    rung_trials += 1;
+                }
                 if !t.ok {
                     failures += 1;
                 }
             }
         }
         assert!(trials >= 4, "expected sampler trials to run");
+        // Two query cases × the three sampling rungs.
+        assert_eq!(rung_trials, 6, "expected one trial per sampling rung");
         assert!(
             failures * 3 <= trials,
             "sampler failure rate too high: {failures}/{trials}"

@@ -102,7 +102,7 @@ impl FuzzReport {
         for e in &self.engines {
             let _ = writeln!(
                 s,
-                "  sampler {:>10}: {} trials, {} envelope misses (worst {:.3}x)",
+                "  sampler {:>12}: {} trials, {} envelope misses (worst {:.3}x)",
                 e.engine, e.trials, e.failures, e.worst_err
             );
         }
@@ -200,7 +200,7 @@ fn write_repro(dir: &Path, check: &str, case: &FuzzCase) -> Option<PathBuf> {
 pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzReport {
     let start = Instant::now();
     let mut repros: Vec<Repro> = Vec::new();
-    let mut engines: BTreeMap<&'static str, EngineStats> = BTreeMap::new();
+    let mut engines: BTreeMap<String, EngineStats> = BTreeMap::new();
     let mut cases = 0u64;
     let mut stopped_early = false;
 
@@ -221,8 +221,8 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzReport {
             Ok(out) => {
                 failures.extend(out.failures);
                 for t in out.trials {
-                    let e = engines.entry(t.engine).or_insert_with(|| EngineStats {
-                        engine: t.engine.to_string(),
+                    let e = engines.entry(t.engine).or_insert_with_key(|k| EngineStats {
+                        engine: k.clone(),
                         trials: 0,
                         failures: 0,
                         worst_err: 0.0,
@@ -332,6 +332,9 @@ mod tests {
 
     #[test]
     fn clean_run_over_all_families() {
+        // The differential layer runs the fault-instrumented solver rungs;
+        // keep this crate's concurrently armed chaos plans out.
+        let _quiet = qrel_faults::quiesce();
         let cfg = FuzzConfig {
             seeds: 16,
             sample: false,

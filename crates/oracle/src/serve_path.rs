@@ -299,6 +299,10 @@ mod tests {
 
     #[test]
     fn round_trip_is_bit_identical() {
+        // A live server runs fault-instrumented code; keep this crate's
+        // concurrently armed chaos plans out (and this test's hits out of
+        // their replay counts).
+        let _quiet = qrel_faults::quiesce();
         let cases: Vec<FuzzCase> = ["qf", "sjf-cq", "efo", "universal"]
             .iter()
             .enumerate()

@@ -29,6 +29,41 @@ pub enum Method {
 }
 
 impl Method {
+    /// Every method: `Auto` first, then the rungs in ladder order. The
+    /// one list of methods — the `Auto` ladder, the serve breakers and
+    /// counters, usage lines and the differential oracle all iterate it.
+    pub const ALL: [Method; 7] = [
+        Method::Auto,
+        Method::Plan,
+        Method::Qf,
+        Method::Exact,
+        Method::Fptras,
+        Method::Padding,
+        Method::NaiveMc,
+    ];
+
+    /// The concrete ladder rungs (everything but `Auto`), in ladder order.
+    pub const RUNGS: &'static [Method] = Method::ALL.split_at(1).1;
+
+    /// Position in [`Method::ALL`]. Exhaustive on purpose: a new variant
+    /// does not compile until it has a place in the table.
+    pub const fn index(self) -> usize {
+        match self {
+            Method::Auto => 0,
+            Method::Plan => 1,
+            Method::Qf => 2,
+            Method::Exact => 3,
+            Method::Fptras => 4,
+            Method::Padding => 5,
+            Method::NaiveMc => 6,
+        }
+    }
+
+    /// The method names joined by `|`, for usage lines and errors.
+    pub fn names() -> String {
+        Method::ALL.map(Method::name).join("|")
+    }
+
     pub fn name(self) -> &'static str {
         match self {
             Method::Auto => "auto",
@@ -157,18 +192,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn method_names_round_trip() {
-        for m in [
-            Method::Auto,
-            Method::Plan,
-            Method::Qf,
-            Method::Exact,
-            Method::Fptras,
-            Method::Padding,
-            Method::NaiveMc,
-        ] {
+    fn method_table_round_trips() {
+        for m in Method::ALL {
+            assert_eq!(Method::ALL[m.index()], m);
             assert_eq!(Method::parse(m.name()), Some(m));
         }
+        assert_eq!(Method::RUNGS, &Method::ALL[1..]);
         assert_eq!(Method::parse("approx"), Some(Method::Fptras));
         assert_eq!(Method::parse("nope"), None);
     }

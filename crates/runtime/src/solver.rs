@@ -77,6 +77,40 @@ struct Answer {
     confidence: Confidence,
 }
 
+impl Answer {
+    /// A full-guarantee exact rational.
+    fn exact(reliability: BigRational) -> Self {
+        Answer {
+            estimate: reliability.to_f64(),
+            exact: Some(reliability),
+            bounds: None,
+            confidence: Confidence::Exact,
+        }
+    }
+
+    /// An estimate carrying the sampling rungs' `(ε, δ)` guarantee.
+    fn sampled(estimate: f64, eps: f64, delta: f64) -> Self {
+        Answer {
+            estimate: estimate.clamp(0.0, 1.0),
+            exact: None,
+            bounds: None,
+            confidence: Confidence::Fptras { eps, delta },
+        }
+    }
+
+    /// A guarantee-free estimate left behind by a tripped budget.
+    fn partial(estimate: f64, bounds: Option<(f64, f64)>, cause: &Exhausted) -> Self {
+        Answer {
+            estimate: estimate.clamp(0.0, 1.0),
+            exact: None,
+            bounds,
+            confidence: Confidence::Partial {
+                reason: cause.to_string(),
+            },
+        }
+    }
+}
+
 /// What a rung did with its budget slice.
 enum Rung {
     /// Finished with a full-guarantee answer; `String` is the trace note.
@@ -249,10 +283,7 @@ impl Solver {
                             method,
                             note: cause.to_string(),
                         });
-                        if let Some(mut a) = answer {
-                            a.confidence = Confidence::Partial {
-                                reason: cause.to_string(),
-                            };
+                        if let Some(a) = answer {
                             best_partial = Some(match best_partial.take() {
                                 Some(b) if width(&b.0) <= width(&a) => b,
                                 _ => (a, method),
@@ -353,13 +384,15 @@ impl Solver {
     }
 
     /// Build the rung sequence for this query. Explicit methods get a
-    /// one-rung ladder; `Auto` routes by fragment and world count, then
-    /// appends the universal sampling fallbacks.
+    /// one-rung ladder; `Auto` keeps the [`Method::RUNGS`] that apply to
+    /// the query's fragment and world count, in table order — so a rung's
+    /// position, and with it its `split_seed` stream, is fixed by the table.
     fn ladder(&self, ud: &UnreliableDatabase, query: &FoQuery, budget: &Budget) -> Vec<Method> {
         if self.method != Method::Auto {
             return vec![self.method];
         }
         let fragment = query.formula().fragment();
+        let qf = fragment == Fragment::QuantifierFree;
         let u = ud.uncertain_facts().len();
         let world_cap = self
             .max_exact_worlds
@@ -372,27 +405,23 @@ impl Solver {
                 | Fragment::Existential
                 | Fragment::Universal
         );
-
-        let mut ladder = Vec::new();
-        if fragment == Fragment::QuantifierFree {
-            // The QF fast path is already exact and PTIME; keep it first.
-            ladder.push(Method::Qf);
-        } else {
-            // Rung 0 for every quantified query: the safe-plan compiler
-            // answers hierarchical self-join-free shapes exactly in
-            // PTIME and skips (cheaply, with the decline reason in the
-            // trace) when the shape is provably unsafe.
-            ladder.push(Method::Plan);
-            if fits {
-                ladder.push(Method::Exact);
-            }
-        }
-        if groundable && !ladder.contains(&Method::Fptras) {
-            ladder.push(Method::Fptras);
-        }
-        ladder.push(Method::Padding);
-        ladder.push(Method::NaiveMc);
-        ladder
+        Method::RUNGS
+            .iter()
+            .copied()
+            .filter(|&m| match m {
+                Method::Auto => false,
+                // Rung 0 for every quantified query: the safe-plan
+                // compiler answers hierarchical self-join-free shapes
+                // exactly in PTIME and skips (cheaply, with the decline
+                // reason in the trace) when the shape is provably unsafe.
+                Method::Plan => !qf,
+                // The QF fast path is already exact and PTIME.
+                Method::Qf => qf,
+                Method::Exact => !qf && fits,
+                Method::Fptras => groundable,
+                Method::Padding | Method::NaiveMc => true,
+            })
+            .collect()
     }
 
     fn run_rung(
@@ -447,15 +476,7 @@ impl Solver {
         };
         let rep = qrel_plan::reliability(ud, &plan, query.formula(), query.free_vars())?;
         let note = format!("completed exactly (safe plan, {} nodes)", plan.node_count());
-        Ok(Rung::Done(
-            Answer {
-                estimate: rep.reliability.to_f64(),
-                exact: Some(rep.reliability),
-                bounds: None,
-                confidence: Confidence::Exact,
-            },
-            note,
-        ))
+        Ok(Rung::Done(Answer::exact(rep.reliability), note))
     }
 
     fn run_qf(
@@ -473,15 +494,7 @@ impl Solver {
                     "completed exactly ({} atoms/tuple)",
                     rep.max_atoms_per_tuple
                 );
-                Ok(Rung::Done(
-                    Answer {
-                        estimate: rep.reliability.to_f64(),
-                        exact: Some(rep.reliability),
-                        bounds: None,
-                        confidence: Confidence::Exact,
-                    },
-                    note,
-                ))
+                Ok(Rung::Done(Answer::exact(rep.reliability), note))
             }
             QfOutcome::Exhausted {
                 partial_expected_error,
@@ -492,7 +505,7 @@ impl Solver {
                 let nk = tuples_total.max(1) as f64;
                 let lo_h = partial_expected_error.to_f64();
                 let hi_h = lo_h + (tuples_total - tuples_done) as f64;
-                let answer = (tuples_done > 0).then(|| bracketed(lo_h, hi_h, nk));
+                let answer = (tuples_done > 0).then(|| bracketed(lo_h, hi_h, nk, &cause));
                 Ok(Rung::Degraded(answer, cause))
             }
         }
@@ -508,15 +521,7 @@ impl Solver {
         match exact_reliability_budgeted(ud, query, budget, threads)? {
             ExactOutcome::Complete(rep) => {
                 let note = format!("completed exactly ({} worlds)", rep.worlds);
-                Ok(Rung::Done(
-                    Answer {
-                        estimate: rep.reliability.to_f64(),
-                        exact: Some(rep.reliability),
-                        bounds: None,
-                        confidence: Confidence::Exact,
-                    },
-                    note,
-                ))
+                Ok(Rung::Done(Answer::exact(rep.reliability), note))
             }
             ExactOutcome::Exhausted {
                 partial_expected_error,
@@ -529,7 +534,7 @@ impl Solver {
                 let nk = n.powi(k).max(1.0);
                 let lo_h = partial_expected_error.to_f64();
                 let hi_h = lo_h + (1.0 - mass_visited.to_f64()).max(0.0) * nk;
-                let answer = (worlds > 0).then(|| bracketed(lo_h, hi_h, nk));
+                let answer = (worlds > 0).then(|| bracketed(lo_h, hi_h, nk, &cause));
                 Ok(Rung::Degraded(answer, cause))
             }
         }
@@ -560,15 +565,7 @@ impl Solver {
                     self.eps, self.delta, rep.tuples
                 );
                 Ok(Rung::Done(
-                    Answer {
-                        estimate: rep.reliability.clamp(0.0, 1.0),
-                        exact: None,
-                        bounds: None,
-                        confidence: Confidence::Fptras {
-                            eps: self.eps,
-                            delta: self.delta,
-                        },
-                    },
+                    Answer::sampled(rep.reliability, self.eps, self.delta),
                     note,
                 ))
             }
@@ -583,12 +580,8 @@ impl Solver {
                 let nk = tuples_total.max(1) as f64;
                 let hi_h = partial_expected_error + (tuples_total - tuples_done) as f64;
                 let estimate = 1.0 - (partial_expected_error + hi_h) / (2.0 * nk);
-                let answer = (tuples_done > 0 || partial_expected_error > 0.0).then(|| Answer {
-                    estimate: estimate.clamp(0.0, 1.0),
-                    exact: None,
-                    bounds: None,
-                    confidence: Confidence::Exact, // overwritten by the ladder
-                });
+                let answer = (tuples_done > 0 || partial_expected_error > 0.0)
+                    .then(|| Answer::partial(estimate, None, &cause));
                 Ok(Rung::Degraded(answer, cause))
             }
             Err(QrelError::Unsupported(reason)) => Ok(Rung::Skip(reason)),
@@ -619,15 +612,7 @@ impl Solver {
                     self.eps, self.delta, rep.samples
                 );
                 Ok(Rung::Done(
-                    Answer {
-                        estimate: rep.estimate.clamp(0.0, 1.0),
-                        exact: None,
-                        bounds: None,
-                        confidence: Confidence::Fptras {
-                            eps: self.eps,
-                            delta: self.delta,
-                        },
-                    },
+                    Answer::sampled(rep.estimate, self.eps, self.delta),
                     note,
                 ))
             }
@@ -636,12 +621,7 @@ impl Solver {
                 samples,
                 cause,
             } => {
-                let answer = (samples > 0).then(|| Answer {
-                    estimate: partial_estimate.clamp(0.0, 1.0),
-                    exact: None,
-                    bounds: None,
-                    confidence: Confidence::Exact, // overwritten by the ladder
-                });
+                let answer = (samples > 0).then(|| Answer::partial(partial_estimate, None, &cause));
                 Ok(Rung::Degraded(answer, cause))
             }
         }
@@ -719,27 +699,14 @@ impl Solver {
         let estimate = (1.0 - mean).clamp(0.0, 1.0);
         match cause {
             None => Ok(Rung::Done(
-                Answer {
-                    estimate,
-                    exact: None,
-                    bounds: None,
-                    confidence: Confidence::Fptras {
-                        eps: self.eps,
-                        delta: self.delta,
-                    },
-                },
+                Answer::sampled(estimate, self.eps, self.delta),
                 format!(
                     "completed with (ε={}, δ={}) Hoeffding guarantee ({drawn} worlds)",
                     self.eps, self.delta
                 ),
             )),
             Some(cause) => {
-                let answer = (drawn > 0).then_some(Answer {
-                    estimate,
-                    exact: None,
-                    bounds: None,
-                    confidence: Confidence::Exact, // overwritten by the ladder
-                });
+                let answer = (drawn > 0).then(|| Answer::partial(estimate, None, &cause));
                 Ok(Rung::Degraded(answer, cause))
             }
         }
@@ -768,15 +735,10 @@ impl Solver {
 }
 
 /// Reliability bracket from hard bounds on the expected error `H`.
-fn bracketed(lo_h: f64, hi_h: f64, nk: f64) -> Answer {
+fn bracketed(lo_h: f64, hi_h: f64, nk: f64, cause: &Exhausted) -> Answer {
     let lo = (1.0 - hi_h / nk).clamp(0.0, 1.0);
     let hi = (1.0 - lo_h / nk).clamp(0.0, 1.0);
-    Answer {
-        estimate: (lo + hi) / 2.0,
-        exact: None,
-        bounds: Some((lo, hi)),
-        confidence: Confidence::Exact, // overwritten by the ladder
-    }
+    Answer::partial((lo + hi) / 2.0, Some((lo, hi)), cause)
 }
 
 /// Width of a partial answer's bracket (1 when there are no bounds),

@@ -4,8 +4,8 @@
 //!
 //! ## Circuit breaker
 //!
-//! One breaker per solve method (including `auto`). Classic three-state
-//! machine:
+//! One breaker per entry of [`Method::ALL`] (including `auto`), slotted
+//! by [`Method::index`]. Classic three-state machine:
 //!
 //! ```text
 //!            N consecutive failures
@@ -36,23 +36,6 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use qrel_runtime::Method;
-
-/// Methods with an independent breaker, in a fixed label order.
-pub const BREAKER_METHODS: [Method; 6] = [
-    Method::Auto,
-    Method::Qf,
-    Method::Exact,
-    Method::Fptras,
-    Method::Padding,
-    Method::NaiveMc,
-];
-
-fn method_index(method: Method) -> usize {
-    BREAKER_METHODS
-        .iter()
-        .position(|&m| m == method)
-        .expect("every method has a breaker slot")
-}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BreakerState {
@@ -111,7 +94,8 @@ impl Default for BreakerSlot {
 /// dwarfs it).
 #[derive(Debug)]
 pub struct Breakers {
-    slots: Vec<Mutex<BreakerSlot>>,
+    /// One slot per [`Method::ALL`] entry.
+    slots: [Mutex<BreakerSlot>; Method::ALL.len()],
     threshold: u32,
     cooldown: Duration,
     opens_total: AtomicU64,
@@ -123,10 +107,7 @@ impl Breakers {
     /// disables the breakers entirely (every admission is `Allowed`).
     pub fn new(threshold: u32, cooldown: Duration) -> Self {
         Breakers {
-            slots: BREAKER_METHODS
-                .iter()
-                .map(|_| Mutex::new(BreakerSlot::default()))
-                .collect(),
+            slots: Default::default(),
             threshold,
             cooldown,
             opens_total: AtomicU64::new(0),
@@ -134,7 +115,7 @@ impl Breakers {
     }
 
     fn slot(&self, method: Method) -> std::sync::MutexGuard<'_, BreakerSlot> {
-        self.slots[method_index(method)]
+        self.slots[method.index()]
             .lock()
             .expect("breaker slot poisoned")
     }
@@ -230,7 +211,7 @@ impl Breakers {
 
     /// True iff any circuit is not closed (the server is degraded).
     pub fn any_open(&self) -> bool {
-        BREAKER_METHODS
+        Method::ALL
             .iter()
             .any(|&m| self.state(m) != BreakerState::Closed)
     }
@@ -243,7 +224,7 @@ impl Breakers {
             "# HELP qrel_circuit_state Circuit state per method (0=closed, 1=open, 2=half-open).\n",
         );
         out.push_str("# TYPE qrel_circuit_state gauge\n");
-        for &m in &BREAKER_METHODS {
+        for m in Method::ALL {
             out.push_str(&format!(
                 "qrel_circuit_state{{method=\"{}\"}} {}\n",
                 m.name(),

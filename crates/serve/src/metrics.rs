@@ -35,16 +35,6 @@ pub const STATUSES: [u16; 12] = [200, 202, 400, 404, 405, 408, 409, 413, 422, 42
 /// `other` catch-all.
 const STATUS_COLS: usize = STATUSES.len() + 1;
 
-/// Solve rungs tracked as label values, in ladder order.
-pub const RUNGS: [Method; 6] = [
-    Method::Plan,
-    Method::Qf,
-    Method::Exact,
-    Method::Fptras,
-    Method::Padding,
-    Method::NaiveMc,
-];
-
 /// Histogram bucket upper bounds, in seconds.
 pub const LATENCY_BUCKETS: [f64; 9] = [0.0005, 0.001, 0.005, 0.025, 0.1, 0.5, 1.0, 5.0, 30.0];
 
@@ -85,8 +75,9 @@ fn status_index(status: u16) -> usize {
 pub struct Metrics {
     /// `requests[endpoint][status]`; the last status column is `other`.
     requests: [[AtomicU64; STATUS_COLS]; ENDPOINTS.len()],
-    /// Completed solves by answering rung.
-    solves: [AtomicU64; RUNGS.len()],
+    /// Completed solves by answering rung, indexed by [`Method::index`]
+    /// (the `auto` slot stays zero: a report always names a rung).
+    solves: [AtomicU64; Method::ALL.len()],
     /// Solve latency histogram: cumulative-style counts are computed at
     /// render time; these are per-bucket (non-cumulative) counts, with
     /// one extra slot for `+Inf`.
@@ -113,9 +104,7 @@ impl Metrics {
     }
 
     pub fn record_solve(&self, rung: Method, latency: std::time::Duration) {
-        if let Some(i) = RUNGS.iter().position(|&m| m == rung) {
-            self.solves[i].fetch_add(1, Ordering::Relaxed);
-        }
+        self.solves[rung.index()].fetch_add(1, Ordering::Relaxed);
         let secs = latency.as_secs_f64();
         let bucket = LATENCY_BUCKETS
             .iter()
@@ -184,8 +173,8 @@ impl Metrics {
 
         out.push_str("# HELP qrel_solve_total Completed solves, by answering ladder rung.\n");
         out.push_str("# TYPE qrel_solve_total counter\n");
-        for (i, rung) in RUNGS.iter().enumerate() {
-            let n = self.solves[i].load(Ordering::Relaxed);
+        for &rung in Method::RUNGS {
+            let n = self.solves[rung.index()].load(Ordering::Relaxed);
             out.push_str(&format!("qrel_solve_total{{method=\"{rung}\"}} {n}\n"));
         }
 

@@ -9,7 +9,7 @@
 //!   "db": { …UnreliableDatabaseSpec… },
 //!   "query": "exists x. S(x)",
 //!   "free": ["x", "y"],              // optional, default: sorted free vars
-//!   "method": "auto",                // auto|plan|qf|exact|fptras|padding|mc
+//!   "method": "auto",                // any `Method::ALL` name, e.g. "plan"
 //!   "eps": 0.05, "delta": 0.05,      // sampling accuracy
 //!   "seed": 0,                       // RNG seed (part of the cache key)
 //!   "timeout_ms": 1000               // per-request Budget deadline
@@ -150,9 +150,8 @@ pub fn parse_solve_request(body: &[u8], limits: ParseLimits) -> Result<SolveRequ
         })
         .transpose()?
         .unwrap_or_else(|| "auto".to_string());
-    let method = Method::parse(&method_name).ok_or_else(|| {
-        format!("unknown method {method_name:?} (auto|plan|qf|exact|fptras|padding|mc)")
-    })?;
+    let method = Method::parse(&method_name)
+        .ok_or_else(|| format!("unknown method {method_name:?} ({})", Method::names()))?;
 
     let eps = match value.get("eps") {
         None => 0.05,

@@ -4,9 +4,9 @@
 //! qrel check       --db spec.json
 //! qrel worlds      --db spec.json [--limit N]
 //! qrel probability --db spec.json --query "exists x. S(x)"
-//!                  [--method exact|fptras|padding] [--eps E] [--delta D] [--seed S]
+//!                  [--method M] [--eps E] [--delta D] [--seed S]
 //! qrel reliability --db spec.json --query "S(x)" [--free x,y]
-//!                  [--method auto|plan|exact|qf|fptras|padding|mc]
+//!                  [--method M]
 //!                  [--timeout-ms T] [--max-worlds N] [--max-samples N] [--max-terms N]
 //!                  [--eps E] [--delta D] [--seed S] [--threads T]
 //! qrel explain     --query "exists x. S(x)" [--free x,y]
@@ -25,8 +25,9 @@
 //! qrel version
 //! ```
 //!
-//! The database spec format is documented in `qrel::prob::spec` (see
-//! `qrel example-spec` for a starter file).
+//! `qrel help` lists each command's method names `M`. The database spec
+//! format is documented in `qrel::prob::spec` (see `qrel example-spec`
+//! for a starter file).
 //!
 //! Exit codes for `reliability`: `0` = the answer carries the strongest
 //! guarantee the requested method offers (exact for `auto`), `2` = the
@@ -46,6 +47,9 @@ use std::time::Duration;
 /// Exit code for a degraded (approximate or partial) answer — distinct
 /// from `1`, which signals hard failure.
 const EXIT_DEGRADED: u8 = 2;
+
+/// The methods `qrel probability` runs on a Boolean query.
+const PROBABILITY_METHODS: [Method; 3] = [Method::Exact, Method::Fptras, Method::Padding];
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -97,6 +101,21 @@ impl Options {
             None => Ok(default),
             Some(v) => v.parse().map_err(|_| format!("--{name} expects a number")),
         }
+    }
+
+    /// `--eps` / `--delta`, held to the serve protocol's rule (ε positive
+    /// and finite, δ ∈ (0, 1)) so a bad value is a usage error rather
+    /// than an engine's assertion panic.
+    fn accuracy(&self, default_eps: f64, default_delta: f64) -> Result<(f64, f64), String> {
+        let eps = self.get_f64("eps", default_eps)?;
+        let delta = self.get_f64("delta", default_delta)?;
+        if !(eps > 0.0 && eps.is_finite()) {
+            return Err("--eps must be a positive finite number".into());
+        }
+        if !(delta > 0.0 && delta < 1.0) {
+            return Err("--delta must be in (0, 1)".into());
+        }
+        Ok((eps, delta))
     }
 
     fn get_u64(&self, name: &str, default: u64) -> Result<u64, String> {
@@ -159,10 +178,10 @@ fn print_help() {
          commands:\n\
          \x20 check        --db spec.json\n\
          \x20 worlds       --db spec.json [--limit N]\n\
-         \x20 probability  --db spec.json --query Q [--method exact|fptras|padding]\n\
+         \x20 probability  --db spec.json --query Q [--method {probability_methods}]\n\
          \x20              [--eps E] [--delta D] [--seed S]\n\
          \x20 reliability  --db spec.json --query Q [--free x,y]\n\
-         \x20              [--method auto|plan|exact|qf|fptras|padding|mc]\n\
+         \x20              [--method {methods}]\n\
          \x20              [--timeout-ms T] [--max-worlds N] [--max-samples N] [--max-terms N]\n\
          \x20              [--eps E] [--delta D] [--seed S] [--threads T] [--json true]\n\
          \x20              (--threads never changes the answer: fixed shard count,\n\
@@ -198,7 +217,9 @@ fn print_help() {
          \x20 example-spec\n\
          \x20 version\n\n\
          reliability exit codes: 0 = full-guarantee answer, \
-         2 = degraded (approximate/partial), 1 = hard failure\n"
+         2 = degraded (approximate/partial), 1 = hard failure\n",
+        probability_methods = PROBABILITY_METHODS.map(Method::name).join("|"),
+        methods = Method::names(),
     );
 }
 
@@ -357,6 +378,7 @@ fn cmd_fuzz(opts: &Options) -> Result<ExitCode, String> {
             picked
         }
     };
+    let (eps, delta) = opts.accuracy(0.25, 0.2)?;
     let cfg = FuzzConfig {
         seeds: opts.get_u64("seeds", 200)?,
         start_seed: opts.get_u64("start-seed", 1)?,
@@ -364,8 +386,8 @@ fn cmd_fuzz(opts: &Options) -> Result<ExitCode, String> {
             .get("budget-ms")
             .map(|_| opts.get_u64("budget-ms", 0))
             .transpose()?,
-        eps: opts.get_f64("eps", 0.25)?,
-        delta: opts.get_f64("delta", 0.2)?,
+        eps,
+        delta,
         corpus_dir: Some(std::path::PathBuf::from(
             opts.get("corpus").unwrap_or("tests/corpus"),
         )),
@@ -574,28 +596,28 @@ fn cmd_probability(opts: &Options) -> Result<(), String> {
     if !free.is_empty() {
         return Err("probability requires a Boolean query (no free variables)".into());
     }
-    let method = opts.get("method").unwrap_or("exact");
-    if !matches!(method, "exact" | "fptras" | "padding") {
-        return Err(format!("unknown method {method:?}"));
-    }
-    let eps = opts.get_f64("eps", 0.05)?;
-    let delta = opts.get_f64("delta", 0.05)?;
+    let method_name = opts.get("method").unwrap_or("exact");
+    let names = PROBABILITY_METHODS.map(Method::name).join("|");
+    let method = Method::parse(method_name)
+        .filter(|m| PROBABILITY_METHODS.contains(m))
+        .ok_or_else(|| format!("unknown method {method_name:?} ({names})"))?;
+    let (eps, delta) = opts.accuracy(0.05, 0.05)?;
     let seed = opts.get_u64("seed", 0)?;
     let mut rng = StdRng::seed_from_u64(seed);
     let q = FoQuery::new(f.clone());
     let observed = q.eval_sentence(ud.observed()).map_err(|e| e.to_string())?;
     println!("observed answer: {observed}");
     match method {
-        "exact" => {
+        Method::Exact => {
             let p = exact_probability(&ud, &q).map_err(|e| e.to_string())?;
             println!("Pr[𝔅 ⊨ ψ] = {p} (≈ {:.6})", p.to_f64());
         }
-        "fptras" => {
+        Method::Fptras => {
             let est = existential_probability_fptras(&ud, &f, eps, delta, Route::Direct, &mut rng)
                 .map_err(|e| e.to_string())?;
             println!("Pr[𝔅 ⊨ ψ] ≈ {est:.6}   (FPTRAS, ε = {eps}, δ = {delta})");
         }
-        "padding" => {
+        Method::Padding => {
             let est = PaddingEstimator::default_xi();
             let rep = est
                 .estimate_probability(&ud, &q, eps, delta, &mut rng)
@@ -605,7 +627,7 @@ fn cmd_probability(opts: &Options) -> Result<(), String> {
                 rep.estimate, rep.samples
             );
         }
-        other => return Err(format!("unknown method {other:?}")),
+        other => unreachable!("{other} is not in PROBABILITY_METHODS"),
     }
     Ok(())
 }
@@ -695,11 +717,9 @@ fn cmd_reliability(opts: &Options) -> Result<ExitCode, String> {
     let ud = load_spec(opts.required("db")?)?;
     let (f, free) = parse_query(opts)?;
     let method_name = opts.get("method").unwrap_or("auto");
-    let method = Method::parse(method_name).ok_or_else(|| {
-        format!("unknown method {method_name:?} (auto|plan|exact|qf|fptras|padding|mc)")
-    })?;
-    let eps = opts.get_f64("eps", 0.05)?;
-    let delta = opts.get_f64("delta", 0.05)?;
+    let method = Method::parse(method_name)
+        .ok_or_else(|| format!("unknown method {method_name:?} ({})", Method::names()))?;
+    let (eps, delta) = opts.accuracy(0.05, 0.05)?;
     let seed = opts.get_u64("seed", 0)?;
     let budget = build_budget(opts)?;
     let mut solver = Solver::new()

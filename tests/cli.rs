@@ -292,6 +292,41 @@ fn bad_method_is_a_hard_failure_exit_one() {
 }
 
 #[test]
+fn out_of_range_accuracy_is_a_hard_failure_exit_one() {
+    let spec = write_example_spec();
+    let query = ["--db", spec.as_str(), "--query", "exists x. Admin(x)"];
+    let cases: [(&str, &[&str], &str); 6] = [
+        ("reliability", &["--eps", "0"], "--eps"),
+        ("reliability", &["--eps", "inf"], "--eps"),
+        ("reliability", &["--delta", "1.5"], "--delta"),
+        (
+            "probability",
+            &["--method", "fptras", "--eps", "0"],
+            "--eps",
+        ),
+        (
+            "probability",
+            &["--method", "padding", "--eps", "0"],
+            "--eps",
+        ),
+        (
+            "probability",
+            &["--method", "padding", "--delta", "0"],
+            "--delta",
+        ),
+    ];
+    for (command, flags, blamed) in cases {
+        let mut args = vec![command];
+        args.extend(query);
+        args.extend(flags);
+        let (code, _, stderr) = qrel_code(&args);
+        assert_eq!(code, Some(1), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(stderr.contains(blamed), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
 fn deterministic_with_same_seed() {
     let spec = write_example_spec();
     let run = || {

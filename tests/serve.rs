@@ -159,6 +159,33 @@ fn cache_hit_is_bit_identical_and_visible_in_metrics() {
 }
 
 #[test]
+fn every_method_name_is_served_never_a_500() {
+    // Breaker slots and solve counters come from the method table, so
+    // no method — `plan` included — can miss its slot and panic a worker.
+    let (addr, handle, join) = boot(ServerConfig {
+        workers: 2,
+        preload: vec![data_path("example.json")],
+        ..ServerConfig::default()
+    });
+    for m in Method::ALL {
+        let req = format!(
+            r#"{{"dataset":"example","query":"exists x. Knows(x,'carol')","method":"{}"}}"#,
+            m.name()
+        );
+        let (status, _, body) = http(addr, "POST", "/v1/solve", &req);
+        assert!(matches!(status, 200 | 422), "{m}: {status} {body}");
+    }
+    let (_, _, metrics) = http(addr, "GET", "/metrics", "");
+    assert!(
+        metrics.contains("qrel_circuit_state{method=\"plan\"} 0\n"),
+        "{metrics}"
+    );
+
+    handle.shutdown();
+    join.join().unwrap();
+}
+
+#[test]
 fn inline_db_and_preloaded_dataset_share_cache_entries() {
     // Every source is keyed by the store's db-hash of the built model,
     // so posting the dataset file's contents inline must hit the entry
