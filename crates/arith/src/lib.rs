@@ -17,11 +17,13 @@
 mod bigint;
 mod biguint;
 mod dyadic;
+mod fastnat;
 mod rational;
 
 pub use bigint::{BigInt, Sign};
 pub use biguint::BigUint;
 pub use dyadic::{Dyadic, FastProb};
+pub use fastnat::FastNat;
 pub use rational::BigRational;
 
 /// Parse error for the string forms accepted by the numeric types.

@@ -39,8 +39,18 @@ fn main() {
                 counting_certificate(&ud, &q).unwrap(),
             )
         });
-        // Integrality with the sound g (asserted inside the certificate);
-        // completeness of the distribution.
+        // Integrality with the sound g: the enumerator counts accepting
+        // paths in the integer weights ν(𝔅)·g, and g·Pr must be exactly
+        // that count; completeness of the distribution.
+        let scaled = p.mul_ref(&BigRational::new(
+            BigInt::from_biguint(sound_g(&ud)),
+            BigInt::one(),
+        ));
+        assert!(
+            scaled.is_integer() && scaled.numer().magnitude() == &cert.accepting_paths,
+            "g·Pr = {scaled} is not the accepting-path count {}",
+            cert.accepting_paths
+        );
         let total = ud
             .worlds()
             .fold(BigRational::zero(), |acc, (_, w)| acc.add_ref(&w));
@@ -66,7 +76,6 @@ fn main() {
             },
             fmt_secs(secs),
         ]);
-        let _ = cert;
     }
     table.print();
     println!(
@@ -100,10 +109,16 @@ fn main() {
         fmt_secs(serial_secs),
         fmt_secs(fast_secs)
     );
+    // The enumerator evaluates a compiled query and counts in integer
+    // weights ν(𝔅)·g, so per-world overhead no longer separates it from
+    // the 64-worlds-per-word kernel: the two now run within a small
+    // factor of each other (≈ 1.1–1.5x here, ≈ 20–33x before). The claim
+    // is on the enumerator's side; the kernel's own speed is gated by
+    // its score in BENCH_E3.json.
     assert!(
-        speedup >= 8.0,
-        "bit-parallel engine must beat world enumeration by >= 8x on dyadic \
-         instances (got {speedup:.1}x)"
+        speedup < 8.0,
+        "world enumeration must stay within 8x of the bit-parallel engine on \
+         dyadic instances (got {speedup:.1}x)"
     );
     report.value("bitslice_speedup_u16", speedup);
     if let Some(path) = report.write_if_requested() {

@@ -123,7 +123,7 @@ pub fn with_random_errors(
     let mut ud = UnreliableDatabase::reliable(db);
     let indexer = ud.indexer().clone();
     let total = indexer.total();
-    let mut chosen = std::collections::HashSet::new();
+    let mut chosen = std::collections::BTreeSet::new();
     while chosen.len() < count.min(total) {
         chosen.insert(rng.gen_range(0..total));
     }

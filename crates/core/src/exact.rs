@@ -5,19 +5,21 @@
 //! the atomic statements (the worlds `𝔅 ∈ Ω(𝔇)`), splits each leaf
 //! `ν(𝔅)·g` times for the normalizer `g`, evaluates `ψ` at each leaf, and
 //! reads `g · Pr[𝔅 ⊨ ψ]` off the accepting-path count. We execute exactly
-//! this computation: worlds are enumerated with their exact probabilities,
-//! the query is evaluated on each (any [`Query`] — first-order,
-//! second-order via enumeration, Datalog, or a closure), and the
-//! `g`-normalized integer certificate is produced alongside the rational
-//! result. Exponential in the number of uncertain facts, as the theorem's
-//! placement in FP^#P (and Prop 3.2's hardness) says it must be.
+//! this computation: worlds are enumerated with their integer weights
+//! `ν(𝔅)·g`, the query is bound once per solve ([`Query::bind`]) and
+//! evaluated on each world (any [`Query`] — first-order, second-order via
+//! enumeration, Datalog, or a closure), and the weighted counts are
+//! divided by `g` once at the end; the accepting-path count itself is
+//! the integer certificate. Exponential in the number of uncertain
+//! facts, as the theorem's placement in FP^#P (and Prop 3.2's hardness)
+//! says it must be.
 
-use qrel_arith::{BigInt, BigRational, BigUint};
+use qrel_arith::{BigInt, BigRational, BigUint, FastNat};
 use qrel_budget::{Budget, Exhausted, Resource};
-use qrel_eval::{EvalError, Query};
+use qrel_eval::{rank_difference, BoundQuery, EvalError, Query};
 use qrel_par::{run_settled, shard_ranges, DEFAULT_SHARDS};
 use qrel_prob::normalizer::sound_g;
-use qrel_prob::UnreliableDatabase;
+use qrel_prob::{UnreliableDatabase, WorldWalk};
 
 /// Exact reliability computation result.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -70,34 +72,54 @@ pub fn exact_probability(
     ud: &UnreliableDatabase,
     query: &dyn Query,
 ) -> Result<BigRational, EvalError> {
+    Ok(over_g(&accepting_weight(ud, query)?, &sound_g(ud)))
+}
+
+/// `g · Pr[𝔅 ⊨ ψ]`: the summed weights `ν(𝔅)·g` of the worlds that
+/// satisfy the Boolean query — the accepting-path count of Theorem 4.2.
+fn accepting_weight(ud: &UnreliableDatabase, query: &dyn Query) -> Result<FastNat, EvalError> {
     assert_eq!(
         query.arity(),
         0,
         "exact_probability requires a Boolean query"
     );
-    let mut p = BigRational::zero();
+    let mut bound = query.bind(ud.observed());
+    let mut ranks = Vec::new();
+    let mut accepted = FastNat::zero();
     let mut failure: Option<EvalError> = None;
-    // Gray-code traversal: one fact flip and one rational update per world.
-    ud.visit_worlds(|world, prob| match query.eval(world, &[]) {
-        Ok(true) => {
-            p = p.add_ref(prob);
-            true
-        }
-        Ok(false) => true,
-        Err(e) => {
-            failure = Some(e);
-            false
-        }
-    });
+    // Gray-code traversal: one fact flip and one integer update per world.
+    ud.visit_worlds(
+        |world, weight| match bound.answer_ranks(world, &mut ranks) {
+            Ok(()) => {
+                if !ranks.is_empty() {
+                    accepted.add_assign(weight);
+                }
+                true
+            }
+            Err(e) => {
+                failure = Some(e);
+                false
+            }
+        },
+    );
     match failure {
         Some(e) => Err(e),
-        None => Ok(p),
+        None => Ok(accepted),
     }
+}
+
+/// `sum / g` for a sum of world weights `ν(𝔅)·g`.
+fn over_g(sum: &FastNat, g: &BigUint) -> BigRational {
+    BigRational::new(
+        BigInt::from_biguint(sum.to_biguint()),
+        BigInt::from_biguint(g.clone()),
+    )
 }
 
 /// Exact expected error and reliability for an arbitrary k-ary query.
 ///
-/// `H_ψ = Σ_𝔅 ν(𝔅) · |ψ^𝔄 Δ ψ^𝔅|`, evaluated with exact rationals.
+/// `H_ψ = Σ_𝔅 ν(𝔅) · |ψ^𝔄 Δ ψ^𝔅|`, accumulated in the integer weights
+/// `ν(𝔅)·g` and divided by `g` once.
 ///
 /// ```
 /// use qrel_core::exact::exact_reliability;
@@ -124,20 +146,57 @@ pub fn exact_reliability(
     ud: &UnreliableDatabase,
     query: &dyn Query,
 ) -> Result<ExactReport, EvalError> {
-    let observed_answers = query.answers(ud.observed())?;
-    let k = query.arity();
-    let mut h = BigRational::zero();
-    let mut worlds = 0u64;
-    let mut failure: Option<EvalError> = None;
-    ud.visit_worlds(|world, prob| {
-        worlds += 1;
-        match query.answers(world) {
-            Ok(answers) => {
-                let diff = answers.difference(&observed_answers).len()
-                    + observed_answers.difference(&answers).len();
+    let mut bound = query.bind(ud.observed());
+    let mut observed = Vec::new();
+    bound.answer_ranks(ud.observed(), &mut observed)?;
+    let walk = WorldWalk::new(ud);
+    let (sums, failure, _) = sweep(&walk, bound.as_mut(), &observed, 0, walk.len(), || Ok(()));
+    if let Some(e) = failure {
+        return Err(e);
+    }
+    let h = over_g(&sums.error, &sound_g(ud));
+    Ok(report(ud, query.arity(), h, sums.worlds))
+}
+
+/// Weighted sums over a slice of the Gray-code world sequence.
+#[derive(Debug, Default)]
+struct Sums {
+    /// `Σ ν(𝔅)·g · |ψ^𝔄 Δ ψ^𝔅|`.
+    error: FastNat,
+    /// `Σ ν(𝔅)·g`.
+    mass: FastNat,
+    worlds: u64,
+}
+
+/// Sweep the worlds `[start, end)` of the Gray-code sequence, charging
+/// each world before evaluating it. Stops at the first evaluation error
+/// or charge trip and returns the sums so far with the cause.
+fn sweep(
+    walk: &WorldWalk,
+    bound: &mut dyn BoundQuery,
+    observed: &[usize],
+    start: u64,
+    end: u64,
+    mut charge: impl FnMut() -> Result<(), Exhausted>,
+) -> (Sums, Option<EvalError>, Option<Exhausted>) {
+    let mut sums = Sums::default();
+    let mut ranks = Vec::new();
+    let mut failure = None;
+    let mut cause = None;
+    walk.visit_range(start, end, |world, weight| {
+        if let Err(e) = charge() {
+            cause = Some(e);
+            return false;
+        }
+        sums.worlds += 1;
+        match bound.answer_ranks(world, &mut ranks) {
+            Ok(()) => {
+                let diff = rank_difference(&ranks, observed);
                 if diff > 0 {
-                    h = h.add_ref(&prob.mul_ref(&BigRational::from_int(diff as i64)));
+                    sums.error
+                        .add_assign(&weight.mul(&FastNat::Small(diff as u128)));
                 }
+                sums.mass.add_assign(weight);
                 true
             }
             Err(e) => {
@@ -146,10 +205,7 @@ pub fn exact_reliability(
             }
         }
     });
-    if let Some(e) = failure {
-        return Err(e);
-    }
-    Ok(report(ud, k, h, worlds))
+    (sums, failure, cause)
 }
 
 /// The report for expected error `h` of a k-ary query:
@@ -173,69 +229,49 @@ fn report(ud: &UnreliableDatabase, k: usize, h: BigRational, worlds: u64) -> Exa
 /// enumerated world, and a shard stops at its first trip, returning the
 /// exact partial sums instead of discarding the work done.
 ///
-/// The Gray-code sequence `[0, 2^u)` is tiled into [`DEFAULT_SHARDS`]
-/// contiguous ranges. The parent budget is [`Budget::split`] into one
-/// child per shard, and the exact partial sums plus child spends are
-/// settled back in shard order. Rational addition is associative and
-/// counter caps divide deterministically across shards, so both a
-/// complete and a world-capped run are identical for every thread
-/// count; only wall-clock and cancellation trips remain
-/// scheduling-dependent. The first trip cause *in shard order* is
-/// reported.
+/// The Gray-code sequence `[0, 2^u)` of one [`WorldWalk`] is tiled into
+/// [`DEFAULT_SHARDS`] contiguous ranges, each swept by its own binding
+/// of the query. The parent budget is [`Budget::split`] into one child
+/// per shard, and the integer partial sums plus child spends are
+/// settled back in shard order, then divided by `g` once. Integer
+/// addition is associative and counter caps divide deterministically
+/// across shards, so both a complete and a world-capped run are
+/// identical for every thread count; only wall-clock and cancellation
+/// trips remain scheduling-dependent. The first trip cause *in shard
+/// order* is reported.
 pub fn exact_reliability_budgeted(
     ud: &UnreliableDatabase,
     query: &(dyn Query + Sync),
     budget: &Budget,
     threads: usize,
 ) -> Result<ExactOutcome, EvalError> {
-    let observed_answers = query.answers(ud.observed())?;
+    let mut observed = Vec::new();
+    query
+        .bind(ud.observed())
+        .answer_ranks(ud.observed(), &mut observed)?;
     let k = query.arity();
-    let total = 1u64 << ud.uncertain_facts().len();
-    let ranges = shard_ranges(total, DEFAULT_SHARDS);
+    let walk = WorldWalk::new(ud);
+    let ranges = shard_ranges(walk.len(), DEFAULT_SHARDS);
     let (parts, first_cause) = run_settled(
         budget.split(DEFAULT_SHARDS),
         threads,
         |child| budget.settle(child),
         |s, child: &Budget| {
             let (start, end) = ranges[s];
-            let mut h = BigRational::zero();
-            let mut mass = BigRational::zero();
-            let mut worlds = 0u64;
-            let mut failure: Option<EvalError> = None;
-            let mut cause: Option<Exhausted> = None;
-            ud.visit_worlds_range(start, end, |world, prob| {
-                if let Err(e) = child.charge(Resource::Worlds, 1) {
-                    cause = Some(e);
-                    return false;
-                }
-                worlds += 1;
-                match query.answers(world) {
-                    Ok(answers) => {
-                        let diff = answers.difference(&observed_answers).len()
-                            + observed_answers.difference(&answers).len();
-                        if diff > 0 {
-                            h = h.add_ref(&prob.mul_ref(&BigRational::from_int(diff as i64)));
-                        }
-                        mass = mass.add_ref(prob);
-                        true
-                    }
-                    Err(e) => {
-                        failure = Some(e);
-                        false
-                    }
-                }
-            });
-            ((h, mass, worlds, failure), cause)
+            let mut bound = query.bind(ud.observed());
+            let (sums, failure, cause) =
+                sweep(&walk, bound.as_mut(), &observed, start, end, || {
+                    child.charge(Resource::Worlds, 1)
+                });
+            ((sums, failure), cause)
         },
     );
-    let mut h = BigRational::zero();
-    let mut mass = BigRational::zero();
-    let mut worlds = 0u64;
+    let mut sums = Sums::default();
     let mut first_failure: Option<EvalError> = None;
-    for (part_h, part_mass, part_worlds, failure) in parts {
-        h = h.add_ref(&part_h);
-        mass = mass.add_ref(&part_mass);
-        worlds += part_worlds;
+    for (part, failure) in parts {
+        sums.error.add_assign(&part.error);
+        sums.mass.add_assign(&part.mass);
+        sums.worlds += part.worlds;
         if first_failure.is_none() {
             first_failure = failure;
         }
@@ -243,15 +279,17 @@ pub fn exact_reliability_budgeted(
     if let Some(e) = first_failure {
         return Err(e);
     }
+    let g = sound_g(ud);
+    let h = over_g(&sums.error, &g);
     if let Some(cause) = first_cause {
         return Ok(ExactOutcome::Exhausted {
             partial_expected_error: h,
-            mass_visited: mass,
-            worlds,
+            mass_visited: over_g(&sums.mass, &g),
+            worlds: sums.worlds,
             cause,
         });
     }
-    Ok(ExactOutcome::Complete(report(ud, k, h, worlds)))
+    Ok(ExactOutcome::Complete(report(ud, k, h, sums.worlds)))
 }
 
 /// Exact per-tuple answer marginals: for every `ā ∈ A^k`, the probability
@@ -264,51 +302,44 @@ pub fn answer_marginals(
 ) -> Result<Vec<(Vec<u32>, BigRational)>, EvalError> {
     let k = query.arity();
     let tuples: Vec<Vec<u32>> = ud.observed().universe().tuples(k).collect();
-    let mut marginals = vec![BigRational::zero(); tuples.len()];
+    let mut bound = query.bind(ud.observed());
+    let mut ranks = Vec::new();
+    let mut marginals = vec![FastNat::zero(); tuples.len()];
     let mut failure: Option<EvalError> = None;
-    ud.visit_worlds(|world, prob| match query.answers(world) {
-        Ok(answers) => {
-            for (i, t) in tuples.iter().enumerate() {
-                if answers.contains(t) {
-                    marginals[i] = marginals[i].add_ref(prob);
+    ud.visit_worlds(
+        |world, weight| match bound.answer_ranks(world, &mut ranks) {
+            Ok(()) => {
+                for &rank in &ranks {
+                    marginals[rank].add_assign(weight);
                 }
+                true
             }
-            true
-        }
-        Err(e) => {
-            failure = Some(e);
-            false
-        }
-    });
+            Err(e) => {
+                failure = Some(e);
+                false
+            }
+        },
+    );
     if let Some(e) = failure {
         return Err(e);
     }
-    Ok(tuples.into_iter().zip(marginals).collect())
+    let g = sound_g(ud);
+    Ok(tuples
+        .into_iter()
+        .zip(marginals.iter().map(|m| over_g(m, &g)))
+        .collect())
 }
 
 /// Produce the Theorem 4.2 certificate for a Boolean query: the
-/// accepting-path count `g · Pr[𝔅 ⊨ ψ]` as an exact natural number.
-///
-/// # Panics
-/// Panics (in debug) if the scaled probability fails to be integral —
-/// which would falsify the normalizer's soundness.
+/// accepting-path count `g · Pr[𝔅 ⊨ ψ]` as an exact natural number,
+/// summed directly from the integer world weights `ν(𝔅)·g`.
 pub fn counting_certificate(
     ud: &UnreliableDatabase,
     query: &dyn Query,
 ) -> Result<CountingCertificate, EvalError> {
-    let g = sound_g(ud);
-    let p = exact_probability(ud, query)?;
-    let scaled = p.mul_ref(&BigRational::new(
-        BigInt::from_biguint(g.clone()),
-        BigInt::one(),
-    ));
-    assert!(
-        scaled.is_integer(),
-        "normalizer failed to clear denominators: g = {g}, Pr = {p}"
-    );
     Ok(CountingCertificate {
-        g,
-        accepting_paths: scaled.numer().magnitude().clone(),
+        accepting_paths: accepting_weight(ud, query)?.to_biguint(),
+        g: sound_g(ud),
     })
 }
 

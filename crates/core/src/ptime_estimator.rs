@@ -303,16 +303,16 @@ impl PaddingEstimator {
         seed: u64,
         threads: usize,
     ) -> Result<PaddingOutcome, EvalError> {
-        let k = query.arity();
         let db = ud.observed();
-        let tuples: Vec<Vec<u32>> = db.universe().tuples(k).collect();
-        let nk = tuples.len().max(1);
+        let tuple_count = db.universe().tuple_count(query.arity());
+        let nk = tuple_count.max(1);
         let per_eps = (eps / nk as f64).max(1e-9);
         let per_delta = (delta / nk as f64).min(0.5);
         let t = self.samples_for(per_eps, per_delta);
         let counts = shard_counts(t, DEFAULT_SHARDS);
 
-        let observed = query.answers(db)?;
+        let mut observed = Vec::new();
+        query.bind(db).answer_ranks(db, &mut observed)?;
         let (parts, first_cause) = run_settled(
             budget.split(DEFAULT_SHARDS),
             threads,
@@ -320,6 +320,8 @@ impl PaddingEstimator {
             |s, child: &Budget| {
                 let mut rng = StdRng::seed_from_u64(split_seed(seed, s as u64));
                 let sampler = WorldSampler::new(ud);
+                let mut bound = query.bind(db);
+                let mut answers = Vec::new();
                 let mut hits = vec![0u64; nk];
                 let mut drawn = 0u64;
                 let mut cause = None;
@@ -328,18 +330,22 @@ impl PaddingEstimator {
                         cause = Some(e);
                         break;
                     }
-                    let answers = match query.answers(&sampler.sample(&mut rng)) {
-                        Ok(a) => a,
-                        Err(e) => return ((hits, drawn, Some(e)), cause),
-                    };
+                    if let Err(e) = bound.answer_ranks(&sampler.sample(&mut rng), &mut answers) {
+                        return ((hits, drawn, Some(e)), cause);
+                    }
                     // Padding coins are drawn independently per tuple
-                    // (they are cheap); only the world is shared.
-                    for (i, tuple) in tuples.iter().enumerate() {
+                    // (they are cheap); only the world is shared. Both
+                    // rank lists ascend, so one merge walk reads off
+                    // each tuple's membership.
+                    let mut in_world = answers.iter().copied().peekable();
+                    let mut in_observed = observed.iter().copied().peekable();
+                    for (i, slot) in hits.iter_mut().enumerate().take(tuple_count) {
                         let rc = bernoulli(&self.xi, &mut rng);
                         let rd = bernoulli(&self.xi, &mut rng);
-                        let wrong = answers.contains(tuple) != observed.contains(tuple);
+                        let wrong = in_world.next_if_eq(&i).is_some()
+                            != in_observed.next_if_eq(&i).is_some();
                         if rd && (rc || wrong) {
-                            hits[i] += 1;
+                            *slot += 1;
                         }
                     }
                     drawn += 1;

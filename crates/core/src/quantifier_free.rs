@@ -11,7 +11,7 @@
 use qrel_arith::BigRational;
 use qrel_budget::{Budget, Exhausted, Resource};
 use qrel_db::{Element, Fact};
-use qrel_eval::EvalError;
+use qrel_eval::{resolve_const, EvalError};
 use qrel_logic::{Formula, Term};
 use qrel_prob::UnreliableDatabase;
 use std::collections::HashMap;
@@ -219,18 +219,7 @@ fn resolve_term(
             .get(v)
             .copied()
             .ok_or_else(|| EvalError::UnboundVariable(v.clone())),
-        Term::Const(c) => {
-            let db = ud.observed();
-            if let Some(e) = db.universe().lookup(c) {
-                return Ok(e);
-            }
-            if let Ok(i) = c.parse::<u32>() {
-                if (i as usize) < db.size() {
-                    return Ok(i);
-                }
-            }
-            Err(EvalError::UnknownConstant(c.clone()))
-        }
+        Term::Const(c) => resolve_const(ud.observed(), c),
     }
 }
 

@@ -115,7 +115,12 @@ impl Database {
 
     /// Set the truth value of a fact.
     pub fn set_fact(&mut self, fact: &Fact, value: bool) {
-        self.relations[fact.relation].set(fact.tuple.clone(), value);
+        let rel = &mut self.relations[fact.relation];
+        if value {
+            rel.insert(fact.tuple.clone());
+        } else {
+            rel.remove(&fact.tuple);
+        }
     }
 
     /// Insert a tuple into a named relation.

@@ -17,7 +17,7 @@ use qrel_logic::{Formula, Term};
 use std::collections::HashMap;
 use std::fmt;
 
-use crate::fo::EvalError;
+use crate::fo::{resolve_const, EvalError};
 
 /// Errors from conjunctive-query compilation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -402,18 +402,6 @@ impl PieceView<'_> {
     fn position(&self, var: &str) -> Option<usize> {
         self.cols.iter().position(|c| c == var)
     }
-}
-
-fn resolve_const(db: &Database, name: &str) -> Result<Element, EvalError> {
-    if let Some(e) = db.universe().lookup(name) {
-        return Ok(e);
-    }
-    if let Ok(i) = name.parse::<u32>() {
-        if (i as usize) < db.size() {
-            return Ok(i);
-        }
-    }
-    Err(EvalError::UnknownConstant(name.to_string()))
 }
 
 fn collect_matrix(

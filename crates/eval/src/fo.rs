@@ -1,4 +1,9 @@
 //! First-order (and bounded second-order) model checking.
+//!
+//! A formula is compiled once per database vocabulary and universe into a
+//! [`CompiledFormula`] and then evaluated world by world; the free
+//! functions [`eval_formula`], [`eval_sentence`] and [`query_answers`]
+//! compile and evaluate in one call.
 
 use qrel_db::{Database, Element, Relation};
 use qrel_logic::{Formula, Term};
@@ -61,9 +66,14 @@ impl std::error::Error for EvalError {}
 /// refuse beyond this many candidate tuples (i.e. `n^arity > guard`).
 const SO_GUARD_TUPLES: usize = 20;
 
+/// Atoms of at most this arity build their lookup tuple on the stack.
+const STACK_TUPLE: usize = 8;
+
 /// Resolve a constant name to an element: first as a universe element
-/// name, then as a numeric index.
-fn resolve_const(db: &Database, name: &str) -> Result<Element, EvalError> {
+/// name, then as a numeric index. The one constant rule of every
+/// evaluator in the workspace (model checking, the conjunctive planner,
+/// grounding, the safe-plan and quantifier-free engines).
+pub fn resolve_const(db: &Database, name: &str) -> Result<Element, EvalError> {
     if let Some(e) = db.universe().lookup(name) {
         return Ok(e);
     }
@@ -75,164 +85,375 @@ fn resolve_const(db: &Database, name: &str) -> Result<Element, EvalError> {
     Err(EvalError::UnknownConstant(name.to_string()))
 }
 
-struct Evaluator<'a> {
-    db: &'a Database,
-    /// First-order environment.
-    env: HashMap<String, Element>,
-    /// Second-order environment: relation variables bound by ∃X/∀X.
-    rel_env: HashMap<String, Relation>,
+/// The position of `tuple` in the lexicographic order of
+/// `Universe::tuples` over a universe of `n` elements.
+pub fn tuple_rank(tuple: &[Element], n: usize) -> usize {
+    tuple.iter().fold(0, |r, &e| r * n + e as usize)
 }
 
-impl<'a> Evaluator<'a> {
-    fn term(&self, t: &Term) -> Result<Element, EvalError> {
+/// A resolved term: a variable slot, an element, or the error that
+/// evaluating the term raises.
+#[derive(Debug, Clone)]
+enum Arg {
+    Var(usize),
+    Elem(Element),
+    Fail(EvalError),
+}
+
+/// What an atom looks up once its tuple is built.
+#[derive(Debug, Clone)]
+enum Target {
+    /// A vocabulary relation, by index.
+    Rel(usize),
+    /// A relation variable bound by a second-order quantifier, by index.
+    RelVar(usize),
+    /// Unknown symbol or arity mismatch, raised after the terms.
+    Fail(EvalError),
+}
+
+#[derive(Debug, Clone)]
+enum Node {
+    Const(bool),
+    /// An error raised on reaching the node (the second-order guard).
+    Fail(EvalError),
+    Eq(Arg, Arg),
+    Atom(Vec<Arg>, Target),
+    Not(Box<Node>),
+    And(Vec<Node>),
+    Or(Vec<Node>),
+    /// `∃`/`∀` over the slots `first..first + count`.
+    Quant {
+        first: usize,
+        count: usize,
+        existential: bool,
+        body: Box<Node>,
+    },
+    /// `∃X`/`∀X` over the `2^tuples` relations held by relation variable
+    /// `var` (bit `i` of its mask is the tuple of rank `i`).
+    RelQuant {
+        var: usize,
+        tuples: usize,
+        existential: bool,
+        body: Box<Node>,
+    },
+}
+
+/// Lexical scopes of the compiler: variable names to slots, relation
+/// variable names to (index, arity). Inner bindings shadow outer ones.
+struct Compiler<'a> {
+    db: &'a Database,
+    vars: Vec<(&'a str, usize)>,
+    rel_vars: Vec<(&'a str, usize, usize)>,
+    slots: usize,
+    relation_vars: usize,
+}
+
+impl<'a> Compiler<'a> {
+    fn term(&self, t: &Term) -> Arg {
         match t {
-            Term::Var(v) => self
-                .env
-                .get(v)
-                .copied()
-                .ok_or_else(|| EvalError::UnboundVariable(v.clone())),
-            Term::Const(c) => resolve_const(self.db, c),
+            Term::Var(v) => match self.vars.iter().rev().find(|(name, _)| name == v) {
+                Some(&(_, slot)) => Arg::Var(slot),
+                None => Arg::Fail(EvalError::UnboundVariable(v.clone())),
+            },
+            Term::Const(c) => match resolve_const(self.db, c) {
+                Ok(e) => Arg::Elem(e),
+                Err(e) => Arg::Fail(e),
+            },
         }
     }
 
-    fn eval(&mut self, f: &Formula) -> Result<bool, EvalError> {
+    fn target(&self, rel: &str, got: usize) -> Target {
+        let mismatch = |expected: usize| {
+            Target::Fail(EvalError::ArityMismatch {
+                rel: rel.to_string(),
+                expected,
+                got,
+            })
+        };
+        if let Some(&(_, var, arity)) = self.rel_vars.iter().rev().find(|(name, ..)| *name == rel) {
+            return if arity == got {
+                Target::RelVar(var)
+            } else {
+                mismatch(arity)
+            };
+        }
+        match self.db.vocabulary().index_of(rel) {
+            Some(i) if self.db.relation(i).arity() == got => Target::Rel(i),
+            Some(i) => mismatch(self.db.relation(i).arity()),
+            None => Target::Fail(EvalError::UnknownRelation(rel.to_string())),
+        }
+    }
+
+    fn compile(&mut self, f: &'a Formula) -> Node {
         match f {
-            Formula::True => Ok(true),
-            Formula::False => Ok(false),
-            Formula::Eq(a, b) => Ok(self.term(a)? == self.term(b)?),
-            Formula::Atom { rel, args } => {
-                let tuple: Vec<Element> = args
-                    .iter()
-                    .map(|t| self.term(t))
-                    .collect::<Result<_, _>>()?;
-                if let Some(r) = self.rel_env.get(rel) {
-                    if r.arity() != tuple.len() {
-                        return Err(EvalError::ArityMismatch {
-                            rel: rel.clone(),
-                            expected: r.arity(),
-                            got: tuple.len(),
-                        });
-                    }
-                    return Ok(r.contains(&tuple));
+            Formula::True => Node::Const(true),
+            Formula::False => Node::Const(false),
+            Formula::Eq(a, b) => Node::Eq(self.term(a), self.term(b)),
+            Formula::Atom { rel, args } => Node::Atom(
+                args.iter().map(|t| self.term(t)).collect(),
+                self.target(rel, args.len()),
+            ),
+            Formula::Not(g) => Node::Not(Box::new(self.compile(g))),
+            Formula::And(gs) => Node::And(gs.iter().map(|g| self.compile(g)).collect()),
+            Formula::Or(gs) => Node::Or(gs.iter().map(|g| self.compile(g)).collect()),
+            Formula::Exists(vars, body) => self.quant(vars, body, true),
+            Formula::Forall(vars, body) => self.quant(vars, body, false),
+            Formula::ExistsRel(x, k, body) => self.rel_quant(x, *k, body, true),
+            Formula::ForallRel(x, k, body) => self.rel_quant(x, *k, body, false),
+        }
+    }
+
+    fn quant(&mut self, vars: &'a [String], body: &'a Formula, existential: bool) -> Node {
+        let first = self.slots;
+        self.slots += vars.len();
+        let scope = self.vars.len();
+        self.vars.extend(
+            vars.iter()
+                .enumerate()
+                .map(|(i, v)| (v.as_str(), first + i)),
+        );
+        let body = Box::new(self.compile(body));
+        self.vars.truncate(scope);
+        Node::Quant {
+            first,
+            count: vars.len(),
+            existential,
+            body,
+        }
+    }
+
+    fn rel_quant(
+        &mut self,
+        x: &'a str,
+        arity: usize,
+        body: &'a Formula,
+        existential: bool,
+    ) -> Node {
+        let n = self.db.size();
+        let tuples = match n.checked_pow(arity as u32) {
+            Some(t) if t <= SO_GUARD_TUPLES => t,
+            _ => {
+                return Node::Fail(EvalError::SecondOrderTooLarge {
+                    rel: x.to_string(),
+                    arity,
+                    universe: n,
+                })
+            }
+        };
+        let var = self.relation_vars;
+        self.relation_vars += 1;
+        self.rel_vars.push((x, var, arity));
+        let body = Box::new(self.compile(body));
+        self.rel_vars.pop();
+        Node::RelQuant {
+            var,
+            tuples,
+            existential,
+            body,
+        }
+    }
+}
+
+/// Evaluation state: one element per variable slot, one mask per
+/// relation variable.
+#[derive(Debug, Clone)]
+struct State {
+    n: usize,
+    slots: Vec<Element>,
+    masks: Vec<u64>,
+}
+
+impl State {
+    fn term(&self, t: &Arg) -> Result<Element, EvalError> {
+        match t {
+            Arg::Var(s) => Ok(self.slots[*s]),
+            Arg::Elem(e) => Ok(*e),
+            Arg::Fail(e) => Err(e.clone()),
+        }
+    }
+
+    fn eval(&mut self, db: &Database, node: &Node) -> Result<bool, EvalError> {
+        match node {
+            Node::Const(b) => Ok(*b),
+            Node::Fail(e) => Err(e.clone()),
+            Node::Eq(a, b) => Ok(self.term(a)? == self.term(b)?),
+            Node::Atom(args, target) => {
+                let mut stack = [0; STACK_TUPLE];
+                let mut heap = Vec::new();
+                let tuple = if args.len() <= STACK_TUPLE {
+                    &mut stack[..args.len()]
+                } else {
+                    heap.resize(args.len(), 0);
+                    &mut heap[..]
+                };
+                for (e, t) in tuple.iter_mut().zip(args) {
+                    *e = self.term(t)?;
                 }
-                match self.db.vocabulary().index_of(rel) {
-                    Some(i) => {
-                        let r = self.db.relation(i);
-                        if r.arity() != tuple.len() {
-                            return Err(EvalError::ArityMismatch {
-                                rel: rel.clone(),
-                                expected: r.arity(),
-                                got: tuple.len(),
-                            });
-                        }
-                        Ok(r.contains(&tuple))
-                    }
-                    None => Err(EvalError::UnknownRelation(rel.clone())),
+                match target {
+                    Target::Rel(i) => Ok(db.relation(*i).contains(tuple)),
+                    Target::RelVar(v) => Ok((self.masks[*v] >> tuple_rank(tuple, self.n)) & 1 == 1),
+                    Target::Fail(e) => Err(e.clone()),
                 }
             }
-            Formula::Not(g) => Ok(!self.eval(g)?),
-            Formula::And(gs) => {
+            Node::Not(g) => Ok(!self.eval(db, g)?),
+            Node::And(gs) => {
                 for g in gs {
-                    if !self.eval(g)? {
+                    if !self.eval(db, g)? {
                         return Ok(false);
                     }
                 }
                 Ok(true)
             }
-            Formula::Or(gs) => {
+            Node::Or(gs) => {
                 for g in gs {
-                    if self.eval(g)? {
+                    if self.eval(db, g)? {
                         return Ok(true);
                     }
                 }
                 Ok(false)
             }
-            Formula::Exists(vars, body) => self.eval_fo_quant(vars, body, true),
-            Formula::Forall(vars, body) => self.eval_fo_quant(vars, body, false),
-            Formula::ExistsRel(x, k, body) => self.eval_so_quant(x, *k, body, true),
-            Formula::ForallRel(x, k, body) => self.eval_so_quant(x, *k, body, false),
+            Node::Quant {
+                first,
+                count,
+                existential,
+                body,
+            } => {
+                let slots = *first..*first + *count;
+                if self.n == 0 && *count > 0 {
+                    return Ok(!existential);
+                }
+                self.slots[slots.clone()].fill(0);
+                loop {
+                    if self.eval(db, body)? == *existential {
+                        return Ok(*existential);
+                    }
+                    if !self.advance(slots.clone()) {
+                        return Ok(!existential);
+                    }
+                }
+            }
+            Node::RelQuant {
+                var,
+                tuples,
+                existential,
+                body,
+            } => {
+                for mask in 0u64..(1u64 << tuples) {
+                    self.masks[*var] = mask;
+                    if self.eval(db, body)? == *existential {
+                        return Ok(*existential);
+                    }
+                }
+                Ok(!existential)
+            }
         }
     }
 
-    /// Quantifier over element tuples: short-circuiting search.
-    fn eval_fo_quant(
-        &mut self,
-        vars: &[String],
-        body: &Formula,
-        existential: bool,
-    ) -> Result<bool, EvalError> {
-        let shadowed: Vec<(String, Option<Element>)> = vars
-            .iter()
-            .map(|v| (v.clone(), self.env.get(v).copied()))
-            .collect();
-        let mut result = !existential;
-        for tuple in self.db.universe().tuples(vars.len()) {
-            for (v, e) in vars.iter().zip(tuple.iter()) {
-                self.env.insert(v.clone(), *e);
+    /// Step the tuple held in `slots` to its lexicographic successor
+    /// (last position fastest); `false` once every tuple was visited.
+    fn advance(&mut self, slots: std::ops::Range<usize>) -> bool {
+        for s in slots.rev() {
+            self.slots[s] += 1;
+            if (self.slots[s] as usize) < self.n {
+                return true;
             }
-            let b = self.eval(body)?;
-            if b == existential {
-                result = existential;
-                break;
-            }
+            self.slots[s] = 0;
         }
-        for (v, old) in shadowed {
-            match old {
-                Some(e) => {
-                    self.env.insert(v, e);
-                }
-                None => {
-                    self.env.remove(&v);
-                }
-            }
+        false
+    }
+}
+
+/// A formula compiled once against one database's vocabulary and
+/// universe, then evaluated against any database that shares them (the
+/// worlds of an unreliable database): variables are slot indices,
+/// relation names are vocabulary indices or relation-variable masks,
+/// constants are elements. Lookups build their tuple on the stack and
+/// the slot buffer is reused, so evaluation does not allocate.
+///
+/// Errors keep their dynamic semantics: an unknown relation, a bad
+/// arity, an unknown constant or an unbound variable is raised only when
+/// evaluation reaches it, exactly as a tree-walking interpreter would.
+#[derive(Debug, Clone)]
+pub struct CompiledFormula {
+    root: Node,
+    free: usize,
+    state: State,
+}
+
+impl CompiledFormula {
+    /// Compile `formula` against `db`, with its free variables bound, in
+    /// order, by the tuples later passed to [`Self::eval`].
+    pub fn new(db: &Database, formula: &Formula, free: &[String]) -> Self {
+        let mut c = Compiler {
+            db,
+            vars: free
+                .iter()
+                .enumerate()
+                .map(|(i, v)| (v.as_str(), i))
+                .collect(),
+            rel_vars: Vec::new(),
+            slots: free.len(),
+            relation_vars: 0,
+        };
+        let root = c.compile(formula);
+        CompiledFormula {
+            root,
+            free: free.len(),
+            state: State {
+                n: db.size(),
+                slots: vec![0; c.slots],
+                masks: vec![0; c.relation_vars],
+            },
         }
-        Ok(result)
     }
 
-    /// Second-order quantifier: enumerate all relations of the arity.
-    fn eval_so_quant(
+    /// Does `db ⊨ φ(tuple)`?
+    pub fn eval(&mut self, db: &Database, tuple: &[Element]) -> Result<bool, EvalError> {
+        assert_eq!(tuple.len(), self.free, "tuple arity mismatch");
+        debug_assert_eq!(db.size(), self.state.n, "compiled for another universe");
+        self.state.slots[..self.free].copy_from_slice(tuple);
+        self.state.eval(db, &self.root)
+    }
+
+    /// The ranks ([`tuple_rank`]) of the answer set on `db`, ascending,
+    /// written into `out` (cleared first).
+    pub fn answer_ranks(&mut self, db: &Database, out: &mut Vec<usize>) -> Result<(), EvalError> {
+        out.clear();
+        self.visit_answers(db, |rank, _| out.push(rank))
+    }
+
+    /// The answer set `φ^db` as a relation.
+    pub fn answers(&mut self, db: &Database) -> Result<Relation, EvalError> {
+        let mut out = Relation::new(self.free);
+        self.visit_answers(db, |_, tuple| {
+            out.insert(tuple.to_vec());
+        })?;
+        Ok(out)
+    }
+
+    /// Evaluate every tuple of `A^k` in lexicographic order, calling
+    /// `visit(rank, tuple)` on each answer.
+    fn visit_answers(
         &mut self,
-        x: &str,
-        arity: usize,
-        body: &Formula,
-        existential: bool,
-    ) -> Result<bool, EvalError> {
-        let n = self.db.size();
-        let tuples: Vec<Vec<Element>> = self.db.universe().tuples(arity).collect();
-        if tuples.len() > SO_GUARD_TUPLES {
-            return Err(EvalError::SecondOrderTooLarge {
-                rel: x.to_string(),
-                arity,
-                universe: n,
-            });
+        db: &Database,
+        mut visit: impl FnMut(usize, &[Element]),
+    ) -> Result<(), EvalError> {
+        debug_assert_eq!(db.size(), self.state.n, "compiled for another universe");
+        if self.state.n == 0 && self.free > 0 {
+            return Ok(());
         }
-        let old = self.rel_env.remove(x);
-        let mut result = !existential;
-        for mask in 0u64..(1u64 << tuples.len()) {
-            let rel = Relation::from_tuples(
-                arity,
-                tuples
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| (mask >> i) & 1 == 1)
-                    .map(|(_, t)| t.clone()),
-            );
-            self.rel_env.insert(x.to_string(), rel);
-            let b = self.eval(body)?;
-            if b == existential {
-                result = existential;
-                break;
+        let free = 0..self.free;
+        self.state.slots[free.clone()].fill(0);
+        let mut rank = 0;
+        loop {
+            if self.state.eval(db, &self.root)? {
+                visit(rank, &self.state.slots[free.clone()]);
             }
+            if !self.state.advance(free.clone()) {
+                return Ok(());
+            }
+            rank += 1;
         }
-        match old {
-            Some(r) => {
-                self.rel_env.insert(x.to_string(), r);
-            }
-            None => {
-                self.rel_env.remove(x);
-            }
-        }
-        Ok(result)
     }
 }
 
@@ -242,17 +463,14 @@ pub fn eval_formula(
     formula: &Formula,
     bindings: &HashMap<String, Element>,
 ) -> Result<bool, EvalError> {
-    let mut ev = Evaluator {
-        db,
-        env: bindings.clone(),
-        rel_env: HashMap::new(),
-    };
-    ev.eval(formula)
+    let (free, tuple): (Vec<String>, Vec<Element>) =
+        bindings.iter().map(|(v, &e)| (v.clone(), e)).unzip();
+    CompiledFormula::new(db, formula, &free).eval(db, &tuple)
 }
 
 /// Evaluate a sentence (no free variables).
 pub fn eval_sentence(db: &Database, sentence: &Formula) -> Result<bool, EvalError> {
-    eval_formula(db, sentence, &HashMap::new())
+    CompiledFormula::new(db, sentence, &[]).eval(db, &[])
 }
 
 /// Compute the answer set `ψ^𝔄 = {ā ∈ A^k : 𝔄 ⊨ ψ(ā)}` where the free
@@ -262,18 +480,7 @@ pub fn query_answers(
     formula: &Formula,
     free_vars: &[String],
 ) -> Result<Relation, EvalError> {
-    let mut out = Relation::new(free_vars.len());
-    let mut bindings = HashMap::new();
-    for tuple in db.universe().tuples(free_vars.len()) {
-        bindings.clear();
-        for (v, e) in free_vars.iter().zip(tuple.iter()) {
-            bindings.insert(v.clone(), *e);
-        }
-        if eval_formula(db, formula, &bindings)? {
-            out.insert(tuple);
-        }
-    }
-    Ok(out)
+    CompiledFormula::new(db, formula, free_vars).answers(db)
 }
 
 #[cfg(test)]
@@ -422,6 +629,29 @@ mod tests {
         let mut b = HashMap::new();
         b.insert("x".to_string(), 0);
         assert!(eval_formula(&graph(), &f, &b).unwrap());
+    }
+
+    #[test]
+    fn compiled_once_evaluates_every_world() {
+        // Compile against the observed graph, then evaluate worlds that
+        // share its vocabulary and universe.
+        let db = graph();
+        let f = parse_formula("exists y. E(x, y) & S(y)").unwrap();
+        let mut compiled = CompiledFormula::new(&db, &f, &["x".to_string()]);
+        let mut ranks = Vec::new();
+        compiled.answer_ranks(&db, &mut ranks).unwrap();
+        assert_eq!(ranks, vec![1]);
+        let mut world = db.clone();
+        world.set_fact(&qrel_db::Fact::new(0, vec![3, 0]), true);
+        world.set_fact(&qrel_db::Fact::new(0, vec![1, 2]), false);
+        compiled.answer_ranks(&world, &mut ranks).unwrap();
+        assert_eq!(ranks, vec![3]);
+        assert!(compiled.eval(&world, &[3]).unwrap());
+        assert_eq!(
+            compiled.answers(&world).unwrap(),
+            query_answers(&world, &f, &["x".to_string()]).unwrap()
+        );
+        assert_eq!(tuple_rank(&[2, 3], 4), 11);
     }
 
     #[test]

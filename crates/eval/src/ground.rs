@@ -15,7 +15,7 @@ use qrel_logic::{Formula, Term};
 use std::collections::HashMap;
 use std::fmt;
 
-use crate::fo::EvalError;
+use crate::fo::{resolve_const, EvalError};
 
 /// Errors from grounding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -121,17 +121,7 @@ impl<'a> Grounder<'a> {
                 .get(v)
                 .copied()
                 .ok_or_else(|| GroundError::Eval(EvalError::UnboundVariable(v.clone()))),
-            Term::Const(c) => {
-                if let Some(e) = self.db.universe().lookup(c) {
-                    return Ok(e);
-                }
-                if let Ok(i) = c.parse::<u32>() {
-                    if (i as usize) < self.db.size() {
-                        return Ok(i);
-                    }
-                }
-                Err(GroundError::Eval(EvalError::UnknownConstant(c.clone())))
-            }
+            Term::Const(c) => resolve_const(self.db, c).map_err(GroundError::Eval),
         }
     }
 

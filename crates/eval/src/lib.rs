@@ -1,8 +1,9 @@
 //! Query evaluation over finite relational structures.
 //!
 //! * [`fo`] — model checking for first-order formulas (with bounded
-//!   second-order quantification by relation enumeration), and answer-set
-//!   computation `ψ^𝔄 = {ā : 𝔄 ⊨ ψ(ā)}`;
+//!   second-order quantification by relation enumeration), compiled once
+//!   per vocabulary and universe, and answer-set computation
+//!   `ψ^𝔄 = {ā : 𝔄 ⊨ ψ(ā)}`;
 //! * [`ground`] — the propositionalization step of Theorem 5.4: an
 //!   existential sentence over a database becomes a kDNF formula whose
 //!   variables are atomic facts;
@@ -18,9 +19,14 @@ pub mod ground;
 pub mod query;
 
 pub use cq::ConjunctiveQuery;
-pub use fo::{eval_formula, eval_sentence, query_answers, EvalError};
+pub use fo::{
+    eval_formula, eval_sentence, query_answers, resolve_const, tuple_rank, CompiledFormula,
+    EvalError,
+};
 pub use ground::{ground_existential, ground_existential_budgeted, GroundError, Grounding};
-pub use query::{BoxedQuery, CqQuery, DatalogQuery, FnQuery, FoQuery, Query};
+pub use query::{
+    rank_difference, BoundQuery, BoxedQuery, CqQuery, DatalogQuery, FnQuery, FoQuery, Query,
+};
 
 use qrel_budget::{Exhausted, QrelError, Resource};
 

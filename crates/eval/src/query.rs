@@ -6,7 +6,7 @@
 //! `qrel-core` is written against this trait. First-order queries,
 //! Datalog queries and arbitrary Rust closures all implement it.
 
-use crate::fo::{self, EvalError};
+use crate::fo::{self, tuple_rank, CompiledFormula, EvalError};
 use qrel_db::datalog::DatalogProgram;
 use qrel_db::{Database, Element, Relation};
 use qrel_logic::Formula;
@@ -38,6 +38,60 @@ pub trait Query {
         assert_eq!(self.arity(), 0, "eval_sentence requires a 0-ary query");
         self.eval(db, &[])
     }
+
+    /// Bind the query once for repeated evaluation over databases that
+    /// share `db`'s vocabulary and universe — the worlds of one
+    /// unreliable database. The default re-runs [`Query::answers`] on
+    /// every call; [`FoQuery`] compiles its formula here.
+    fn bind(&self, _db: &Database) -> Box<dyn BoundQuery + '_> {
+        Box::new(ViaAnswers(self))
+    }
+}
+
+/// A query bound to one vocabulary and universe by [`Query::bind`].
+pub trait BoundQuery {
+    /// The answer set on `db` as ascending tuple ranks
+    /// ([`fo::tuple_rank`], the position in `Universe::tuples` order),
+    /// written into `out` (cleared first). A Boolean query answers
+    /// `[0]` when it holds and `[]` when it does not.
+    fn answer_ranks(&mut self, db: &Database, out: &mut Vec<usize>) -> Result<(), EvalError>;
+}
+
+/// The default binding: [`Query::answers`] per world.
+struct ViaAnswers<'q, Q: ?Sized>(&'q Q);
+
+impl<Q: Query + ?Sized> BoundQuery for ViaAnswers<'_, Q> {
+    fn answer_ranks(&mut self, db: &Database, out: &mut Vec<usize>) -> Result<(), EvalError> {
+        let answers = self.0.answers(db)?;
+        out.clear();
+        // Relations iterate in lexicographic order, so ranks ascend.
+        out.extend(answers.iter().map(|t| tuple_rank(t, db.size())));
+        Ok(())
+    }
+}
+
+impl BoundQuery for CompiledFormula {
+    fn answer_ranks(&mut self, db: &Database, out: &mut Vec<usize>) -> Result<(), EvalError> {
+        CompiledFormula::answer_ranks(self, db, out)
+    }
+}
+
+/// `|a Δ b|` for two ascending rank lists — the Hamming distance
+/// between two answer sets.
+pub fn rank_difference(a: &[usize], b: &[usize]) -> usize {
+    let (mut i, mut j, mut common) = (0, 0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                common += 1;
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    a.len() + b.len() - 2 * common
 }
 
 /// A first-order (or second-order) query given by a formula and an
@@ -87,14 +141,15 @@ impl Query for FoQuery {
     }
 
     fn eval(&self, db: &Database, tuple: &[Element]) -> Result<bool, EvalError> {
-        assert_eq!(tuple.len(), self.free.len(), "tuple arity mismatch");
-        let bindings = self
-            .free
-            .iter()
-            .cloned()
-            .zip(tuple.iter().copied())
-            .collect();
-        fo::eval_formula(db, &self.formula, &bindings)
+        CompiledFormula::new(db, &self.formula, &self.free).eval(db, tuple)
+    }
+
+    fn answers(&self, db: &Database) -> Result<Relation, EvalError> {
+        fo::query_answers(db, &self.formula, &self.free)
+    }
+
+    fn bind(&self, db: &Database) -> Box<dyn BoundQuery + '_> {
+        Box::new(CompiledFormula::new(db, &self.formula, &self.free))
     }
 }
 

@@ -1,5 +1,12 @@
 //! The differential layer: run one case through every applicable engine.
 //!
+//! Two referee checks come first and hold the oracle itself to code it
+//! does not share: `eval-compiled` compares the compiled evaluator with
+//! the reference interpreter of [`crate::reference`] (answers and
+//! `Ok`/`Err`), and `exact-referee` compares `exact_reliability` with
+//! the sum over the product-weighted worlds of `ud.worlds()` evaluated by
+//! that interpreter, bit for bit.
+//!
 //! Exact engines must agree **bit-for-bit** in exact rationals — the
 //! serial Gray-code enumerator (`exact_probability`, Thm 4.2) is the
 //! oracle, and the safe-plan evaluator, the Thm 5.4 grounding + Shannon
@@ -22,11 +29,13 @@
 //! the same accounting as `tests/statistical_guarantees.rs`.
 
 use crate::case::FuzzCase;
+use crate::reference;
 use qrel_arith::BigRational;
 use qrel_budget::Budget;
 use qrel_core::{
     exact_probability, exact_reliability, existential_probability_bitslice,
-    existential_probability_exact, existential_probability_fptras, PaddingEstimator, Route,
+    existential_probability_exact, existential_probability_fptras, ExactReport, PaddingEstimator,
+    Route,
 };
 use qrel_count::exact_dnf::dnf_count_models;
 use qrel_count::naive_mc::naive_mc_probability_sharded;
@@ -70,6 +79,9 @@ pub struct CheckOutcome {
     pub trials: Vec<SamplerTrial>,
     /// The solver rungs that answered the case rather than declining.
     pub answered: Vec<Method>,
+    /// The referee checks that ran on the case (whether or not they
+    /// failed).
+    pub refereed: Vec<&'static str>,
 }
 
 impl CheckOutcome {
@@ -138,6 +150,7 @@ fn check_query_case(
     out: &mut CheckOutcome,
 ) {
     let formula = query.formula();
+    check_compiled_eval(ud, formula, out);
     // Oracle: serial Gray-code world enumeration (Thm 4.2).
     let p = match exact_probability(ud, query) {
         Ok(p) => p,
@@ -149,7 +162,10 @@ fn check_query_case(
 
     // Reliability side: R = 1 − H (Boolean query).
     let rel = match exact_reliability(ud, query) {
-        Ok(r) => r.reliability,
+        Ok(r) => {
+            check_exact_referee(ud, query, &r, out);
+            r.reliability
+        }
         Err(e) => {
             out.fail("exact-reliability", format!("evaluation failed: {e}"));
             return;
@@ -311,6 +327,62 @@ fn check_query_case(
             }
             Err(e) => out.fail("fptras", format!("failed: {e}")),
         }
+    }
+}
+
+/// Worlds of `ud.worlds()` on which `eval-compiled` re-evaluates.
+const REFEREE_WORLDS: usize = 16;
+
+/// `eval-compiled`: the compiled evaluator against the reference
+/// interpreter on the observed database and the first
+/// [`REFEREE_WORLDS`] worlds — the sentence itself, and the answer set
+/// of its body opened at the outermost quantifier block (a k-ary query).
+fn check_compiled_eval(ud: &UnreliableDatabase, formula: &Formula, out: &mut CheckOutcome) {
+    out.refereed.push("eval-compiled");
+    let mut probes = vec![(formula, Vec::new())];
+    if let Formula::Exists(vars, body) | Formula::Forall(vars, body) = formula {
+        probes.push((&**body, vars.clone()));
+    }
+    let worlds = ud.worlds().take(REFEREE_WORLDS).map(|(w, _)| w);
+    for db in std::iter::once(ud.observed().clone()).chain(worlds) {
+        for (f, free) in &probes {
+            let compiled = qrel_eval::query_answers(&db, f, free);
+            let reference = reference::query_answers(&db, f, free);
+            if compiled != reference {
+                out.fail(
+                    "eval-compiled",
+                    format!("{f} over {free:?}: compiled {compiled:?} != reference {reference:?}"),
+                );
+                return;
+            }
+        }
+    }
+}
+
+/// `exact-referee`: the Thm 4.2 enumerator's report against the
+/// reference sum over the product-weighted worlds, bit for bit.
+fn check_exact_referee(
+    ud: &UnreliableDatabase,
+    query: &FoQuery,
+    report: &ExactReport,
+    out: &mut CheckOutcome,
+) {
+    out.refereed.push("exact-referee");
+    let engine = (
+        report.expected_error.clone(),
+        report.reliability.clone(),
+        report.worlds,
+    );
+    match reference::exact_reliability(ud, query.formula(), query.free_vars()) {
+        Ok(referee) if referee == engine => {}
+        Ok(referee) => out.fail(
+            "exact-referee",
+            format!("enumerator (H, R, worlds) = {engine:?} != referee {referee:?}"),
+        ),
+        Err(e) => out.fail(
+            "exact-referee",
+            format!("referee failed ({e}) where the enumerator answered {engine:?}"),
+        ),
     }
 }
 

@@ -19,6 +19,9 @@
 //! * [`meta`] — metamorphic laws from the paper, checked exactly
 //!   (complement, factorization, monotonicity, the Thm 5.12 padding
 //!   identity built end-to-end, the §3-Remark model restriction);
+//! * [`reference`](mod@reference) — the reference `HashMap` interpreter and the
+//!   product-weight world sum, independent of the compiled evaluator and
+//!   the integer Gray-code weights they referee;
 //! * [`shrink`](mod@shrink) — greedy delta-debugging to a locally
 //!   minimal repro;
 //! * [`runner`] — the fuzz loop gluing the above, serializing shrunk
@@ -39,6 +42,7 @@ pub mod chaos;
 pub mod diff;
 pub mod gen;
 pub mod meta;
+pub mod reference;
 pub mod runner;
 pub mod serve_path;
 pub mod shrink;

@@ -74,6 +74,8 @@ pub struct FuzzReport {
     pub cases: u64,
     pub repros: Vec<Repro>,
     pub engines: Vec<EngineStats>,
+    /// Cases each referee check ran on.
+    pub referees: BTreeMap<&'static str, u64>,
     /// `true` if the wall-clock budget stopped the loop early.
     pub stopped_early: bool,
     pub elapsed_ms: u128,
@@ -99,6 +101,9 @@ impl FuzzReport {
                 ""
             }
         );
+        for (check, cases) in &self.referees {
+            let _ = writeln!(s, "  referee {check:>13}: {cases} cases");
+        }
         for e in &self.engines {
             let _ = writeln!(
                 s,
@@ -201,6 +206,7 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzReport {
     let start = Instant::now();
     let mut repros: Vec<Repro> = Vec::new();
     let mut engines: BTreeMap<String, EngineStats> = BTreeMap::new();
+    let mut referees: BTreeMap<&'static str, u64> = BTreeMap::new();
     let mut cases = 0u64;
     let mut stopped_early = false;
 
@@ -220,6 +226,9 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzReport {
         match check_case(&case, cfg.eps, cfg.delta, cfg.sample) {
             Ok(out) => {
                 failures.extend(out.failures);
+                for check in out.refereed {
+                    *referees.entry(check).or_default() += 1;
+                }
                 for t in out.trials {
                     let e = engines.entry(t.engine).or_insert_with_key(|k| EngineStats {
                         engine: k.clone(),
@@ -321,6 +330,7 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzReport {
         cases,
         repros,
         engines: engines.into_values().collect(),
+        referees,
         stopped_early,
         elapsed_ms: start.elapsed().as_millis(),
     }
@@ -344,6 +354,11 @@ mod tests {
         assert_eq!(report.cases, 16);
         assert!(report.clean(), "{}", report.summary());
         assert!(!report.stopped_early);
+        // Both referees ran, and the summary names them.
+        for check in ["eval-compiled", "exact-referee"] {
+            assert!(report.referees.get(check) > Some(&0), "{check} never ran");
+            assert!(report.summary().contains(check));
+        }
     }
 
     #[test]

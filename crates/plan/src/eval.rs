@@ -11,7 +11,7 @@
 use crate::ir::Plan;
 use qrel_arith::BigRational;
 use qrel_db::{Element, Fact};
-use qrel_eval::{query_answers, EvalError};
+use qrel_eval::{query_answers, resolve_const, EvalError};
 use qrel_logic::{Formula, Term};
 use qrel_prob::UnreliableDatabase;
 use std::collections::HashMap;
@@ -26,20 +26,6 @@ pub struct PlanReport {
     pub reliability: BigRational,
 }
 
-/// Resolve a constant name: universe element name first, then numeric
-/// index (same rule as the model checker in `qrel_eval::fo`).
-fn resolve_const(ud: &UnreliableDatabase, name: &str) -> Result<Element, EvalError> {
-    if let Some(e) = ud.observed().universe().lookup(name) {
-        return Ok(e);
-    }
-    if let Ok(i) = name.parse::<u32>() {
-        if (i as usize) < ud.size() {
-            return Ok(i);
-        }
-    }
-    Err(EvalError::UnknownConstant(name.to_string()))
-}
-
 fn resolve_term(
     ud: &UnreliableDatabase,
     env: &HashMap<String, Element>,
@@ -50,7 +36,7 @@ fn resolve_term(
             .get(v)
             .copied()
             .ok_or_else(|| EvalError::UnboundVariable(v.clone())),
-        Term::Const(c) => resolve_const(ud, c),
+        Term::Const(c) => resolve_const(ud.observed(), c),
     }
 }
 

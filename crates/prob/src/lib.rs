@@ -17,8 +17,10 @@
 //!
 //! * [`UnreliableDatabase`] — the pair `(𝔄, μ)` with validation,
 //!   including de Rougemont's positive-only restricted model;
-//! * [`WorldIter`]/[`world`] — exact enumeration of the possible worlds
-//!   that have nonzero probability, with their exact probabilities;
+//! * [`WorldIter`]/[`WorldWalk`]/[`world`] — exact enumeration of the
+//!   possible worlds that have nonzero probability, with their exact
+//!   probabilities (iterator) or their integer Theorem 4.2 weights
+//!   `ν(𝔅)·g` (Gray-code walk);
 //! * [`WorldSampler`] — exact-Bernoulli sampling of worlds (the substrate
 //!   for every Monte-Carlo algorithm in the paper);
 //! * [`normalizer`] — the `g` normalizer from the proof of Theorem 4.2
@@ -33,4 +35,4 @@ pub mod world;
 pub use model::{ErrorModel, ModelError, UnreliableDatabase};
 pub use sampler::WorldSampler;
 pub use spec::{ErrorSpec, SpecError, UnreliableDatabaseSpec};
-pub use world::WorldIter;
+pub use world::{WorldIter, WorldWalk};

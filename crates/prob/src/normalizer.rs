@@ -45,9 +45,12 @@ pub fn paper_g(ud: &UnreliableDatabase) -> BigUint {
 /// fact probabilities. Satisfies `ν(𝔅)·g ∈ ℕ` for every world `𝔅`,
 /// because each world probability is a product of factors `ν` or `1−ν`
 /// whose (normalized) denominators divide the per-fact denominators.
+/// Pinned facts (`ν ∈ {0, 1}`) contribute denominator 1, so the product
+/// runs over the uncertain facts only; it is the sum of the world
+/// weights of [`UnreliableDatabase::visit_worlds`].
 pub fn sound_g(ud: &UnreliableDatabase) -> BigUint {
     let mut g = BigUint::one();
-    for i in 0..ud.indexer().total() {
+    for i in ud.uncertain_facts() {
         g = g.mul_ref(ud.nu_at(i).denom());
     }
     g

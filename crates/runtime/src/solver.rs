@@ -11,7 +11,7 @@ use qrel_core::{
     ApproxOutcome, ExactOutcome, PaddingEstimator, PaddingOutcome, QfOutcome,
 };
 use qrel_count::bounds::hoeffding_samples;
-use qrel_eval::{FoQuery, Query};
+use qrel_eval::{rank_difference, FoQuery, Query};
 use qrel_logic::Fragment;
 use qrel_par::{resolve_threads, run_settled, shard_counts, split_seed, DEFAULT_SHARDS};
 use qrel_prob::{UnreliableDatabase, WorldSampler};
@@ -646,11 +646,10 @@ impl Solver {
         seed: u64,
         threads: usize,
     ) -> Result<Rung, QrelError> {
-        let k = query.arity();
         let db = ud.observed();
-        let tuples: Vec<Vec<u32>> = db.universe().tuples(k).collect();
-        let nk = tuples.len().max(1);
-        let observed = query.answers(db)?;
+        let nk = db.universe().tuple_count(query.arity()).max(1);
+        let mut observed = Vec::new();
+        query.bind(db).answer_ranks(db, &mut observed)?;
         let t = hoeffding_samples(self.eps, self.delta);
         let counts = shard_counts(t, DEFAULT_SHARDS);
 
@@ -661,6 +660,8 @@ impl Solver {
             |s, child: &Budget| {
                 let mut rng = StdRng::seed_from_u64(split_seed(seed, s as u64));
                 let sampler = WorldSampler::new(ud);
+                let mut bound = query.bind(db);
+                let mut answers = Vec::new();
                 let mut diff_total = 0u64;
                 let mut drawn = 0u64;
                 let mut cause = None;
@@ -669,14 +670,10 @@ impl Solver {
                         cause = Some(e);
                         break;
                     }
-                    let answers = match query.answers(&sampler.sample(&mut rng)) {
-                        Ok(a) => a,
-                        Err(e) => return ((diff_total, drawn, Some(e)), cause),
-                    };
-                    diff_total += tuples
-                        .iter()
-                        .filter(|tuple| answers.contains(tuple) != observed.contains(tuple))
-                        .count() as u64;
+                    if let Err(e) = bound.answer_ranks(&sampler.sample(&mut rng), &mut answers) {
+                        return ((diff_total, drawn, Some(e)), cause);
+                    }
+                    diff_total += rank_difference(&answers, &observed) as u64;
                     drawn += 1;
                 }
                 ((diff_total, drawn, None), cause)

@@ -262,6 +262,119 @@ fn inline_preloaded_and_stored_datasets_share_one_db_hash() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A churn-shaped store dataset (5 elements, `E/2`, 10 uncertain
+/// facts, dyadic μ): the observed graph is the directed 5-cycle, so the
+/// 2-cycle sentence has no certain witness and its reliability is
+/// strictly between 0 and 1. Each forward edge may drop out and each
+/// backward edge may appear.
+fn two_cycle_spec() -> UnreliableDatabaseSpec {
+    let cycle: Vec<Vec<u32>> = (0..5).map(|a| vec![a, (a + 1) % 5]).collect();
+    let database = DatabaseBuilder::new()
+        .universe_size(5)
+        .relation("E", 2)
+        .tuples("E", cycle.clone())
+        .build();
+    let mus = [
+        "1/8", "1/4", "3/8", "1/2", "1/8", "1/4", "3/8", "1/2", "1/8", "1/4",
+    ];
+    let edges = cycle
+        .iter()
+        .cloned()
+        .chain(cycle.iter().map(|t| vec![t[1], t[0]]));
+    UnreliableDatabaseSpec {
+        database,
+        model: "full".into(),
+        errors: edges
+            .zip(mus)
+            .map(|(tuple, mu)| qrel::prob::ErrorSpec {
+                relation: "E".into(),
+                tuple,
+                mu: mu.into(),
+            })
+            .collect(),
+    }
+}
+
+#[test]
+fn exact_answers_on_a_graph_without_a_certain_witness_are_pinned() {
+    // Every answer of the churn benchmark is 1, which cannot catch a
+    // wrong count; this graph's answer is not. The pinned rationals
+    // are also refereed by the oracle's reference interpreter over the
+    // product-weighted worlds.
+    const QUERY: &str = "exists x y. (E(x, y) & E(y, x))";
+    const BEFORE: &str = "2371875/8388608";
+    const AFTER: &str = "664125/2097152";
+    let reference = |spec: &UnreliableDatabaseSpec| {
+        let f = parse_formula(QUERY).unwrap();
+        let (_, r, worlds) =
+            qrel::oracle::reference::exact_reliability(&spec.build().unwrap(), &f, &[]).unwrap();
+        assert_eq!(worlds, 1024);
+        r.to_string()
+    };
+    let mut spec = two_cycle_spec();
+    assert_eq!(reference(&spec), BEFORE);
+
+    let dir = std::env::temp_dir().join(format!("qrel-serve-twocycle-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    qrel::store::Store::init(&dir)
+        .unwrap()
+        .ingest_spec("churn", &spec)
+        .unwrap();
+    let (addr, handle, join) = boot(ServerConfig {
+        workers: 2,
+        store: Some(dir.clone()),
+        ..ServerConfig::default()
+    });
+    let solve = |method: &str| {
+        let (status, _, body) = http(
+            addr,
+            "POST",
+            "/v1/solve",
+            &format!(r#"{{"dataset":"churn","query":"{QUERY}","method":"{method}"}}"#),
+        );
+        assert_eq!(status, 200, "{body}");
+        body
+    };
+    for method in ["auto", "exact"] {
+        let body = solve(method);
+        assert!(
+            body.contains(&format!(r#""exact":"{BEFORE}""#)),
+            "{method}: {body}"
+        );
+        assert!(body.contains(r#""method":"exact""#), "{method}: {body}");
+        assert!(
+            body.contains(r#""spent":{"worlds":1024,"#),
+            "{method}: {body}"
+        );
+    }
+
+    // Re-weight the observed edge 0 → 1: the answer must follow.
+    let (status, _, body) = http(
+        addr,
+        "POST",
+        "/v1/datasets/churn/facts",
+        r#"{"facts":[{"relation":"E","tuple":[0,1],"mu":"1/2"}]}"#,
+    );
+    assert_eq!(status, 200, "{body}");
+    spec.errors[0].mu = "1/2".into();
+    assert_eq!(reference(&spec), AFTER);
+    for method in ["auto", "exact"] {
+        let body = solve(method);
+        assert!(
+            body.contains(&format!(r#""exact":"{AFTER}""#)),
+            "{method}: {body}"
+        );
+        assert!(
+            body.contains(r#""spent":{"worlds":1024,"#),
+            "{method}: {body}"
+        );
+    }
+
+    handle.shutdown();
+    join.join().unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn malformed_oversized_and_unroutable_requests() {
     let (addr, handle, join) = boot(uncertain16_config());
