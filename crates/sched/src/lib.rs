@@ -23,11 +23,16 @@
 //!   running join that job's *group*: one execution, many job records,
 //!   every member receiving the same shared [`Arc`] result — N
 //!   identical requests cost one solve.
-//! - **Cancellation.** Every group owns a [`CancelToken`]. Cancelling
-//!   a queued job removes it immediately; cancelling the *last* live
-//!   member of a running group fires the token so the executor's
-//!   budget machinery can stop the solve. Other members of a coalesced
-//!   group are unaffected by one member's cancellation.
+//! - **Cancellation.** Every group owns a [`CancelToken`], and only
+//!   the scheduler fires it. Cancelling a queued job removes it
+//!   immediately; cancelling the *last* live member of a running group
+//!   fires the token so the executor's budget machinery can stop the
+//!   solve. Other members of a coalesced group are unaffected by one
+//!   member's cancellation. A group submitted with a run limit gets a
+//!   hard deadline (start instant + limit) when a worker picks it up;
+//!   [`Scheduler::cancel_overdue`] fires the token of every running
+//!   group past it (the serve watchdog), and [`Scheduler::abort`] fires
+//!   every running group's token (the forced drain).
 //! - **State machine.** `queued → running → done | failed`, plus
 //!   `queued → cancelled` and `running → cancelled`. Every transition
 //!   is counted and surfaced via [`Scheduler::stats`] for `/metrics`.
@@ -258,6 +263,10 @@ struct Group<P> {
     members: Vec<u64>,
     key: Option<u64>,
     running: bool,
+    /// Run limit, and the hard deadline (pick instant + limit) a worker
+    /// stamps on start; see [`Scheduler::cancel_overdue`].
+    limit: Option<Duration>,
+    deadline: Option<Instant>,
     /// Last progress string the executor reported.
     progress: String,
 }
@@ -272,6 +281,9 @@ struct JobRec<R> {
     error: Option<String>,
     /// Submit order, for stable `list` output.
     seq: u64,
+    /// Held out of retention eviction until [`Scheduler::run`]'s waiter
+    /// has read the terminal record.
+    pinned: bool,
 }
 
 struct State<P, R> {
@@ -377,13 +389,53 @@ impl<P: Send + 'static, R: Send + Sync + 'static> Scheduler<P, R> {
     }
 
     /// Enqueue a job. With a coalesce key, an equivalent queued/running
-    /// group absorbs the submit (one execution, shared result).
+    /// group absorbs the submit (one execution, shared result) and keeps
+    /// its own run `limit` (see [`Scheduler::cancel_overdue`]).
     pub fn submit(
         &self,
         tenant: &str,
         priority: Priority,
         key: Option<u64>,
+        limit: Option<Duration>,
         payload: P,
+    ) -> Result<Submission, SubmitError> {
+        self.enqueue(tenant, priority, key, limit, payload, false)
+    }
+
+    /// Submit and block until the job is terminal. Unlike
+    /// [`Scheduler::submit`] + [`Scheduler::wait`], the record is pinned
+    /// against retention eviction until this call has read it, so the
+    /// caller always receives its own job's outcome, however small
+    /// `retain_cap` is.
+    pub fn run(
+        &self,
+        tenant: &str,
+        priority: Priority,
+        key: Option<u64>,
+        limit: Option<Duration>,
+        payload: P,
+    ) -> Result<JobSnapshot<R>, SubmitError> {
+        let id = self
+            .enqueue(tenant, priority, key, limit, payload, true)?
+            .job_id;
+        let snap = self
+            .wait(tenant, id, None)
+            .expect("a pinned record is never evicted");
+        let mut st = self.lock();
+        st.jobs.get_mut(&id).expect("pinned record").pinned = false;
+        st.done_order.push_back(id);
+        evict_terminal(&mut st, self.inner.config.retain_cap);
+        Ok(snap)
+    }
+
+    fn enqueue(
+        &self,
+        tenant: &str,
+        priority: Priority,
+        key: Option<u64>,
+        limit: Option<Duration>,
+        payload: P,
+        pinned: bool,
     ) -> Result<Submission, SubmitError> {
         let mut st = self.lock();
         if st.closed {
@@ -422,6 +474,8 @@ impl<P: Send + 'static, R: Send + Sync + 'static> Scheduler<P, R> {
                         members: Vec::new(),
                         key,
                         running: false,
+                        limit,
+                        deadline: None,
                         progress: String::new(),
                     },
                 );
@@ -451,6 +505,7 @@ impl<P: Send + 'static, R: Send + Sync + 'static> Scheduler<P, R> {
                 result: None,
                 error: None,
                 seq,
+                pinned,
             },
         );
         *st.tenants.entry(tenant.to_string()).or_insert(0) += 1;
@@ -494,6 +549,7 @@ impl<P: Send + 'static, R: Send + Sync + 'static> Scheduler<P, R> {
                 result: Some(result),
                 error: None,
                 seq,
+                pinned: false,
             },
         );
         st.stats.enqueued_total += 1;
@@ -538,7 +594,7 @@ impl<P: Send + 'static, R: Send + Sync + 'static> Scheduler<P, R> {
         }
         let tenant_key = tenant.to_string();
         decrement_tenant(&mut st, &tenant_key);
-        st.done_order.push_back(id);
+        retire(&mut st, id);
         if let Some(grp) = st.groups.get_mut(&group) {
             grp.members.retain(|&m| m != id);
             if grp.members.is_empty() {
@@ -671,7 +727,7 @@ impl<P: Send + 'static, R: Send + Sync + 'static> Scheduler<P, R> {
             st.stats.cancelled_queued_total += 1;
             let tenant = st.jobs[&id].tenant.clone();
             decrement_tenant(&mut st, &tenant);
-            st.done_order.push_back(id);
+            retire(&mut st, id);
         }
         for g in st.queues.iter().flatten().copied().collect::<Vec<_>>() {
             if let Some(grp) = st.groups.remove(&g) {
@@ -690,6 +746,22 @@ impl<P: Send + 'static, R: Send + Sync + 'static> Scheduler<P, R> {
         drop(st);
         self.inner.work_cv.notify_all();
         self.inner.done_cv.notify_all();
+    }
+
+    /// Fire the token of every running group past its hard deadline at
+    /// `now`, clearing the deadline so a group fires once. Returns how
+    /// many fired; a token that had already fired is not counted.
+    pub fn cancel_overdue(&self, now: Instant) -> u64 {
+        let mut st = self.lock();
+        let mut fired = 0;
+        for grp in st.groups.values_mut() {
+            let overdue = grp.deadline.take_if(|d| now >= *d).is_some();
+            if overdue && !grp.token.is_cancelled() {
+                grp.token.cancel();
+                fired += 1;
+            }
+        }
+        fired
     }
 
     /// Join the worker threads (after [`Scheduler::close`]/`abort`).
@@ -759,6 +831,15 @@ fn decrement_tenant<P, R>(st: &mut State<P, R>, tenant: &str) {
     }
 }
 
+/// Queue a record that just turned terminal for retention eviction,
+/// unless [`Scheduler::run`] pinned it (its waiter queues it after
+/// reading it).
+fn retire<P, R>(st: &mut State<P, R>, id: u64) {
+    if !st.jobs[&id].pinned {
+        st.done_order.push_back(id);
+    }
+}
+
 /// Drop the oldest terminal records past the retention cap.
 fn evict_terminal<P, R>(st: &mut State<P, R>, retain_cap: usize) {
     while st.done_order.len() > retain_cap {
@@ -793,6 +874,7 @@ fn worker_loop<P: Send + 'static, R: Send + Sync + 'static>(
             };
             let grp = st.groups.get_mut(&g).expect("picked group exists");
             grp.running = true;
+            grp.deadline = grp.limit.and_then(|l| Instant::now().checked_add(l));
             let payload = grp.payload.take().expect("group not yet started");
             let token = grp.token.clone();
             let members = grp.members.clone();
@@ -869,7 +951,7 @@ fn worker_loop<P: Send + 'static, R: Send + Sync + 'static>(
             st.stats.running_jobs -= 1;
             let tenant = st.jobs[&m].tenant.clone();
             decrement_tenant(&mut st, &tenant);
-            st.done_order.push_back(m);
+            retire(&mut st, m);
         }
         evict_terminal(&mut st, inner.config.retain_cap);
         drop(st);
@@ -923,7 +1005,7 @@ mod tests {
     fn submit_execute_and_wait_round_trip() {
         let _quiet = qrel_faults::quiesce();
         let sched = sleepy(one_worker());
-        let sub = sched.submit("t", Priority::Normal, None, 0).unwrap();
+        let sub = sched.submit("t", Priority::Normal, None, None, 0).unwrap();
         assert!(!sub.coalesced);
         let snap = sched
             .wait("t", sub.job_id, Some(Duration::from_secs(5)))
@@ -948,10 +1030,16 @@ mod tests {
         });
         // A long head-of-line job keeps the key-7 group queued long
         // enough for the duplicates to coalesce deterministically.
-        let head = sched.submit("t", Priority::Normal, None, 1).unwrap();
-        let a = sched.submit("t", Priority::Normal, Some(7), 42).unwrap();
-        let b = sched.submit("t", Priority::Normal, Some(7), 42).unwrap();
-        let c = sched.submit("t", Priority::Normal, Some(7), 42).unwrap();
+        let head = sched.submit("t", Priority::Normal, None, None, 1).unwrap();
+        let a = sched
+            .submit("t", Priority::Normal, Some(7), None, 42)
+            .unwrap();
+        let b = sched
+            .submit("t", Priority::Normal, Some(7), None, 42)
+            .unwrap();
+        let c = sched
+            .submit("t", Priority::Normal, Some(7), None, 42)
+            .unwrap();
         assert!(!a.coalesced && b.coalesced && c.coalesced);
         for id in [head.job_id, a.job_id, b.job_id, c.job_id] {
             let snap = sched.wait("t", id, Some(Duration::from_secs(5))).unwrap();
@@ -973,8 +1061,8 @@ mod tests {
             std::thread::sleep(Duration::from_millis(20));
             p
         });
-        let head = sched.submit("t", Priority::Normal, None, 1).unwrap();
-        let doomed = sched.submit("t", Priority::Normal, None, 2).unwrap();
+        let head = sched.submit("t", Priority::Normal, None, None, 1).unwrap();
+        let doomed = sched.submit("t", Priority::Normal, None, None, 2).unwrap();
         assert_eq!(sched.cancel("t", doomed.job_id), CancelOutcome::Cancelled);
         let snap = sched.status("t", doomed.job_id).unwrap();
         assert_eq!(snap.state, JobState::Cancelled);
@@ -992,7 +1080,9 @@ mod tests {
         let sched = sleepy(one_worker());
         // Long enough that the test would time out if cancel didn't
         // interrupt the sleep loop.
-        let sub = sched.submit("t", Priority::Normal, None, 30_000).unwrap();
+        let sub = sched
+            .submit("t", Priority::Normal, None, None, 30_000)
+            .unwrap();
         // Wait until it is actually running.
         let started = Instant::now();
         while sched.status("t", sub.job_id).unwrap().state == JobState::Queued {
@@ -1004,7 +1094,7 @@ mod tests {
         assert_eq!(snap.state, JobState::Cancelled);
         // The worker must come free promptly (the token interrupted the
         // sleep): a follow-up job completes fast.
-        let next = sched.submit("t", Priority::Normal, None, 0).unwrap();
+        let next = sched.submit("t", Priority::Normal, None, None, 0).unwrap();
         let snap = sched
             .wait("t", next.job_id, Some(Duration::from_secs(5)))
             .unwrap();
@@ -1016,9 +1106,13 @@ mod tests {
     fn cancelling_one_coalesced_member_leaves_the_other_intact() {
         let _quiet = qrel_faults::quiesce();
         let sched = sleepy(one_worker());
-        let head = sched.submit("t", Priority::Normal, None, 30).unwrap();
-        let a = sched.submit("t", Priority::Normal, Some(9), 10).unwrap();
-        let b = sched.submit("t", Priority::Normal, Some(9), 10).unwrap();
+        let head = sched.submit("t", Priority::Normal, None, None, 30).unwrap();
+        let a = sched
+            .submit("t", Priority::Normal, Some(9), None, 10)
+            .unwrap();
+        let b = sched
+            .submit("t", Priority::Normal, Some(9), None, 10)
+            .unwrap();
         assert!(b.coalesced);
         assert_eq!(sched.cancel("t", a.job_id), CancelOutcome::Cancelled);
         // b still completes with the shared result.
@@ -1045,12 +1139,18 @@ mod tests {
             ..SchedConfig::default()
         };
         let sched = sleepy(config);
-        let _a = sched.submit("t", Priority::Normal, None, 200).unwrap();
-        let _b = sched.submit("t", Priority::Normal, None, 200).unwrap();
-        let err = sched.submit("t", Priority::Normal, None, 0).unwrap_err();
+        let _a = sched
+            .submit("t", Priority::Normal, None, None, 200)
+            .unwrap();
+        let _b = sched
+            .submit("t", Priority::Normal, None, None, 200)
+            .unwrap();
+        let err = sched
+            .submit("t", Priority::Normal, None, None, 0)
+            .unwrap_err();
         assert!(matches!(err, SubmitError::QueueFull { cap: 2, .. }));
         // A different tenant still gets in.
-        assert!(sched.submit("u", Priority::Normal, None, 0).is_ok());
+        assert!(sched.submit("u", Priority::Normal, None, None, 0).is_ok());
         assert_eq!(sched.stats().rejected_full, 1);
         sched.abort();
     }
@@ -1066,15 +1166,15 @@ mod tests {
             p
         });
         // Head job occupies the worker while we stack the bands.
-        let head = sched.submit("t", Priority::Normal, None, 0).unwrap();
+        let head = sched.submit("t", Priority::Normal, None, None, 0).unwrap();
         let started = Instant::now();
         while sched.status("t", head.job_id).unwrap().state == JobState::Queued {
             assert!(started.elapsed() < Duration::from_secs(5));
             std::thread::sleep(Duration::from_millis(1));
         }
-        let lo = sched.submit("t", Priority::Low, None, 1).unwrap();
-        let hi = sched.submit("t", Priority::High, None, 2).unwrap();
-        let mid = sched.submit("t", Priority::Normal, None, 3).unwrap();
+        let lo = sched.submit("t", Priority::Low, None, None, 1).unwrap();
+        let hi = sched.submit("t", Priority::High, None, None, 2).unwrap();
+        let mid = sched.submit("t", Priority::Normal, None, None, 3).unwrap();
         for id in [head.job_id, lo.job_id, hi.job_id, mid.job_id] {
             sched.wait("t", id, Some(Duration::from_secs(5)));
         }
@@ -1086,7 +1186,9 @@ mod tests {
     fn tenant_scoping_hides_foreign_jobs() {
         let _quiet = qrel_faults::quiesce();
         let sched = sleepy(one_worker());
-        let sub = sched.submit("alice", Priority::Normal, None, 0).unwrap();
+        let sub = sched
+            .submit("alice", Priority::Normal, None, None, 0)
+            .unwrap();
         sched.wait("alice", sub.job_id, Some(Duration::from_secs(5)));
         assert!(sched.status("bob", sub.job_id).is_none());
         assert_eq!(sched.cancel("bob", sub.job_id), CancelOutcome::NotFound);
@@ -1103,14 +1205,14 @@ mod tests {
             }
             p
         });
-        let bad = sched.submit("t", Priority::Normal, None, 13).unwrap();
+        let bad = sched.submit("t", Priority::Normal, None, None, 13).unwrap();
         let snap = sched
             .wait("t", bad.job_id, Some(Duration::from_secs(5)))
             .unwrap();
         assert_eq!(snap.state, JobState::Failed);
         assert!(snap.error.unwrap().contains("boom"));
         // The worker lives on.
-        let ok = sched.submit("t", Priority::Normal, None, 1).unwrap();
+        let ok = sched.submit("t", Priority::Normal, None, None, 1).unwrap();
         let snap = sched
             .wait("t", ok.job_id, Some(Duration::from_secs(5)))
             .unwrap();
@@ -1142,7 +1244,7 @@ mod tests {
         let sched = sleepy(config);
         let ids: Vec<u64> = (0..6)
             .map(|_| {
-                let sub = sched.submit("t", Priority::Normal, None, 0).unwrap();
+                let sub = sched.submit("t", Priority::Normal, None, None, 0).unwrap();
                 sched.wait("t", sub.job_id, Some(Duration::from_secs(5)));
                 sub.job_id
             })
@@ -1157,11 +1259,13 @@ mod tests {
         let _quiet = qrel_faults::quiesce();
         // Graceful close: queued jobs still complete.
         let sched = sleepy(one_worker());
-        let a = sched.submit("t", Priority::Normal, None, 20).unwrap();
-        let b = sched.submit("t", Priority::Normal, None, 0).unwrap();
+        let a = sched.submit("t", Priority::Normal, None, None, 20).unwrap();
+        let b = sched.submit("t", Priority::Normal, None, None, 0).unwrap();
         sched.close();
         assert_eq!(
-            sched.submit("t", Priority::Normal, None, 0).unwrap_err(),
+            sched
+                .submit("t", Priority::Normal, None, None, 0)
+                .unwrap_err(),
             SubmitError::Closed
         );
         sched.join();
@@ -1169,24 +1273,160 @@ mod tests {
         assert_eq!(sched.status("t", b.job_id).unwrap().state, JobState::Done);
 
         // Forced abort: queued jobs are cancelled, running ones
-        // interrupted via their tokens.
-        let sched = sleepy(one_worker());
-        let long = sched.submit("t", Priority::Normal, None, 30_000).unwrap();
-        let queued = sched.submit("t", Priority::Normal, None, 0).unwrap();
+        // interrupted via their tokens. This executor reports whether
+        // its token had fired when it returned.
+        let sched: Scheduler<u64, bool> = Scheduler::new(one_worker(), |&ms, ctx| {
+            let deadline = Instant::now() + Duration::from_millis(ms);
+            while Instant::now() < deadline && !ctx.token().is_cancelled() {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            ctx.token().is_cancelled()
+        });
+        let long = sched
+            .submit("t", Priority::Normal, None, None, 30_000)
+            .unwrap();
+        let queued = sched.submit("t", Priority::Normal, None, None, 0).unwrap();
         let started = Instant::now();
         while sched.status("t", long.job_id).unwrap().state == JobState::Queued {
             assert!(started.elapsed() < Duration::from_secs(5));
             std::thread::sleep(Duration::from_millis(2));
         }
         sched.abort();
+        // Nothing is admitted after an abort, so no solve can start
+        // once the running tokens have been fired.
+        assert_eq!(
+            sched
+                .submit("t", Priority::Normal, None, None, 0)
+                .unwrap_err(),
+            SubmitError::Closed
+        );
         sched.join();
         assert_eq!(
             sched.status("t", queued.job_id).unwrap().state,
             JobState::Cancelled
         );
         // The running job completed (token interrupted the sleep loop;
-        // the executor returned normally, so the record is Done).
-        assert!(sched.status("t", long.job_id).unwrap().state.is_terminal());
+        // the executor returned normally, so the record is Done), and
+        // its executor saw the fired token.
+        let snap = sched.status("t", long.job_id).unwrap();
+        assert_eq!(snap.state, JobState::Done);
+        assert!(*snap.result.unwrap(), "executor never saw the abort");
+    }
+
+    /// Spin until `id` has left the queue.
+    fn await_running<R>(sched: &Scheduler<u64, R>, id: u64)
+    where
+        R: Send + Sync + 'static,
+    {
+        let started = Instant::now();
+        while sched.status("t", id).unwrap().state == JobState::Queued {
+            assert!(started.elapsed() < Duration::from_secs(5));
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
+
+    #[test]
+    fn cancel_overdue_fires_each_overdue_running_group_once() {
+        let _quiet = qrel_faults::quiesce();
+        let sched = sleepy(SchedConfig {
+            workers: 3,
+            reserved_workers: 0,
+            ..SchedConfig::default()
+        });
+        let ms = Duration::from_millis;
+        let over = sched.submit("t", Priority::Normal, None, Some(ms(10)), 30_000);
+        let within = sched.submit("t", Priority::Normal, None, Some(ms(60_000)), 30_000);
+        let unlimited = sched.submit("t", Priority::Normal, None, None, 30_000);
+        let (over, within, unlimited) = (
+            over.unwrap().job_id,
+            within.unwrap().job_id,
+            unlimited.unwrap().job_id,
+        );
+        for id in [over, within, unlimited] {
+            await_running(&sched, id);
+        }
+        // Every worker is busy, so this one stays queued: its limit has
+        // no deadline until a worker picks it up.
+        let queued = sched
+            .submit("t", Priority::Normal, None, Some(ms(1)), 0)
+            .unwrap()
+            .job_id;
+        std::thread::sleep(ms(30));
+        // Repeated scans fire the overdue group exactly once; the queued
+        // group, past its limit if that counted from submit, is not.
+        let fired: u64 = (0..3).map(|_| sched.cancel_overdue(Instant::now())).sum();
+        assert_eq!(fired, 1);
+        let snap = sched.wait("t", over, Some(ms(5_000))).unwrap();
+        assert_eq!(snap.state, JobState::Done, "the fired token ends the solve");
+        // The freed worker runs the queued job; the group within its
+        // limit and the one without a limit are untouched.
+        let snap = sched.wait("t", queued, Some(ms(5_000))).unwrap();
+        assert_eq!(snap.state, JobState::Done);
+        assert_eq!(sched.status("t", within).unwrap().state, JobState::Running);
+        assert_eq!(
+            sched.status("t", unlimited).unwrap().state,
+            JobState::Running
+        );
+        // Far in the future only the limited running group is overdue.
+        let later = Instant::now() + ms(120_000);
+        assert_eq!(sched.cancel_overdue(later), 1);
+        assert_eq!(sched.cancel_overdue(later), 0);
+        let snap = sched.wait("t", within, Some(ms(5_000))).unwrap();
+        assert_eq!(snap.state, JobState::Done);
+        assert_eq!(
+            sched.status("t", unlimited).unwrap().state,
+            JobState::Running
+        );
+        sched.abort();
+    }
+
+    #[test]
+    fn cancel_overdue_counts_a_coalesced_group_once() {
+        let _quiet = qrel_faults::quiesce();
+        let sched = sleepy(one_worker());
+        let limit = Some(Duration::from_millis(10));
+        let a = sched.submit("t", Priority::Normal, Some(5), limit, 30_000);
+        let b = sched.submit("t", Priority::Normal, Some(5), limit, 30_000);
+        let (a, b) = (a.unwrap(), b.unwrap());
+        assert!(b.coalesced);
+        await_running(&sched, a.job_id);
+        std::thread::sleep(Duration::from_millis(30));
+        assert_eq!(sched.cancel_overdue(Instant::now()), 1);
+        for id in [a.job_id, b.job_id] {
+            let snap = sched.wait("t", id, Some(Duration::from_secs(5))).unwrap();
+            assert_eq!(snap.state, JobState::Done);
+        }
+        assert_eq!(sched.cancel_overdue(Instant::now()), 0);
+    }
+
+    #[test]
+    fn run_returns_its_own_outcome_under_a_one_record_retention_cap() {
+        let _quiet = qrel_faults::quiesce();
+        let sched = Arc::new(sleepy(SchedConfig {
+            workers: 4,
+            retain_cap: 1,
+            reserved_workers: 0,
+            ..SchedConfig::default()
+        }));
+        let clients: Vec<_> = (0..4u64)
+            .map(|c| {
+                let sched = Arc::clone(&sched);
+                std::thread::spawn(move || {
+                    for i in 0..50u64 {
+                        // 0–2 ms jobs keep every worker retiring records.
+                        let ms = (c * 50 + i) % 3;
+                        let snap = sched.run("t", Priority::Normal, None, None, ms).unwrap();
+                        assert_eq!(snap.state, JobState::Done);
+                        assert_eq!(*snap.result.unwrap(), ms);
+                    }
+                })
+            })
+            .collect();
+        for c in clients {
+            c.join().unwrap();
+        }
+        // Once read, the pinned records are evicted as usual.
+        assert!(sched.list("t").len() <= 1);
     }
 
     #[test]
@@ -1200,10 +1440,12 @@ mod tests {
         let sched = sleepy(one_worker());
         {
             let _guard = plan.arm();
-            let err = sched.submit("t", Priority::Normal, None, 0).unwrap_err();
+            let err = sched
+                .submit("t", Priority::Normal, None, None, 0)
+                .unwrap_err();
             assert!(matches!(err, SubmitError::QueueFull { .. }));
             // The single fire is spent; the next submit goes through.
-            let ok = sched.submit("t", Priority::Normal, None, 0).unwrap();
+            let ok = sched.submit("t", Priority::Normal, None, None, 0).unwrap();
             let snap = sched
                 .wait("t", ok.job_id, Some(Duration::from_secs(5)))
                 .unwrap();
@@ -1225,13 +1467,13 @@ mod tests {
         // Flood the low band with long jobs; only the non-reserved
         // worker may pick them up.
         for _ in 0..4 {
-            sched.submit("t", Priority::Low, None, 300).unwrap();
+            sched.submit("t", Priority::Low, None, None, 300).unwrap();
         }
         std::thread::sleep(Duration::from_millis(20));
         // A high-priority job lands while the flood is in progress; the
         // reserved worker must take it immediately.
         let started = Instant::now();
-        let hi = sched.submit("t", Priority::High, None, 0).unwrap();
+        let hi = sched.submit("t", Priority::High, None, None, 0).unwrap();
         let snap = sched
             .wait("t", hi.job_id, Some(Duration::from_secs(5)))
             .unwrap();

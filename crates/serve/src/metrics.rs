@@ -128,8 +128,8 @@ impl Metrics {
         self.rejected.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub fn record_watchdog_cancel(&self) {
-        self.watchdog_cancels.fetch_add(1, Ordering::Relaxed);
+    pub fn record_watchdog_cancels(&self, solves: u64) {
+        self.watchdog_cancels.fetch_add(solves, Ordering::Relaxed);
     }
 
     pub fn watchdog_cancel_count(&self) -> u64 {

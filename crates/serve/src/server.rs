@@ -3,14 +3,19 @@
 //!
 //! ## Threading model
 //!
-//! One acceptor thread (the caller of [`Server::run`]) plus a fixed
-//! pool of `workers` threads. The acceptor does no parsing: it accepts
-//! a connection and offers it to the bounded admission queue. When the
-//! queue is full it writes a `429 Too Many Requests` (with
-//! `Retry-After`) and closes — backpressure instead of unbounded
-//! buffering. Workers pop connections, read the request under a read
-//! deadline (a stalled client trips `408`, it cannot wedge the worker
-//! forever), route it, and write the response.
+//! - The acceptor (the caller of [`Server::run`]) accepts connections
+//!   and offers them to the bounded admission queue, without parsing.
+//!   A full queue gets `429 Too Many Requests` (with `Retry-After`) and
+//!   a close — backpressure instead of unbounded buffering.
+//! - `workers` HTTP threads pop connections, read each request under a
+//!   read deadline (a stalled client trips `408`), route it, and write
+//!   the response. Solves go to the scheduler; the synchronous facade
+//!   blocks until its job is terminal.
+//! - The [`Scheduler`] pool (`sched_workers` threads) executes solves.
+//!   Each running group owns a cancel token wired into its [`Budget`]
+//!   and a hard deadline (budget deadline + one watchdog period).
+//! - The watchdog thread (`self_heal` on) calls
+//!   [`Scheduler::cancel_overdue`] every `watchdog_period`.
 //!
 //! ## Shutdown
 //!
@@ -18,20 +23,20 @@
 //! [`install_shutdown_signals`] ran) flips a flag the acceptor checks
 //! between accepts: it stops accepting, closes the queue, and workers
 //! drain what was already admitted — nobody is killed mid-solve. If the
-//! drain outlives `shutdown_grace`, the server-wide
-//! [`CancelToken`] wired into every in-flight [`Budget`] is cancelled
-//! and the solves unwind cooperatively through the latched-trip
-//! machinery, still producing (degraded) responses.
+//! drain outlives `shutdown_grace`, [`Scheduler::abort`] cancels the
+//! queued jobs and fires every running solve's token; the solves unwind
+//! cooperatively through the latched-trip machinery, still producing
+//! (degraded) responses.
 
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
-use qrel_budget::{Budget, CancelToken, QrelError};
+use qrel_budget::{Budget, QrelError};
 use qrel_eval::FoQuery;
 use qrel_prob::{UnreliableDatabase, UnreliableDatabaseSpec};
 use qrel_runtime::{Method, ProgressHook, Solver};
@@ -271,86 +276,6 @@ impl AdmissionQueue {
 }
 
 // ---------------------------------------------------------------------------
-// In-flight registry (stuck-worker watchdog)
-
-/// One in-flight solve: its private cancel token and the instant past
-/// which the watchdog considers it stuck. The hard deadline is the
-/// request's budget deadline plus one watchdog period of slack — a
-/// solve legitimately degrading *at* its deadline is never shot.
-struct InFlight {
-    token: CancelToken,
-    hard_deadline: Instant,
-}
-
-#[derive(Default)]
-struct InFlightRegistry {
-    entries: Mutex<HashMap<u64, InFlight>>,
-    next_id: AtomicU64,
-}
-
-impl InFlightRegistry {
-    fn register(&self, token: CancelToken, hard_deadline: Instant) -> u64 {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.entries
-            .lock()
-            .expect("inflight registry poisoned")
-            .insert(
-                id,
-                InFlight {
-                    token,
-                    hard_deadline,
-                },
-            );
-        id
-    }
-
-    fn deregister(&self, id: u64) {
-        self.entries
-            .lock()
-            .expect("inflight registry poisoned")
-            .remove(&id);
-    }
-
-    /// Cancel (and forget) every entry whose hard deadline has passed.
-    /// Returns how many were shot.
-    fn cancel_overdue(&self, now: Instant) -> u64 {
-        let mut entries = self.entries.lock().expect("inflight registry poisoned");
-        let overdue: Vec<u64> = entries
-            .iter()
-            .filter(|(_, f)| now >= f.hard_deadline)
-            .map(|(&id, _)| id)
-            .collect();
-        for id in &overdue {
-            if let Some(f) = entries.remove(id) {
-                f.token.cancel();
-            }
-        }
-        overdue.len() as u64
-    }
-
-    /// Cancel every entry (the drain-escalation path).
-    fn cancel_all(&self) {
-        let entries = self.entries.lock().expect("inflight registry poisoned");
-        for f in entries.values() {
-            f.token.cancel();
-        }
-    }
-}
-
-/// RAII guard: deregisters the solve when it returns by any path
-/// (including a panic unwinding through `catch_unwind`).
-struct InFlightGuard<'a> {
-    registry: &'a InFlightRegistry,
-    id: u64,
-}
-
-impl Drop for InFlightGuard<'_> {
-    fn drop(&mut self) {
-        self.registry.deregister(self.id);
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Solve jobs
 
 /// The payload of one scheduled solve: everything [`execute_solve`]
@@ -394,28 +319,17 @@ struct ExecCtx {
     metrics: Metrics,
     /// Per-method circuit breakers (no-ops when `self_heal` is off).
     breakers: Breakers,
-    /// Every in-flight solve's private cancel token, scanned by the
-    /// stuck-worker watchdog and swept by the drain escalation.
-    inflight: InFlightRegistry,
-    /// Latched by the drain escalation: solves admitted after it start
-    /// out cancelled instead of burning the remaining grace.
-    hard_cancelled: AtomicBool,
     solver_threads: usize,
     self_heal: bool,
-    watchdog_period: Duration,
 }
 
 /// Run one solve job on a scheduler worker: budget wired to the job
-/// group's cancel token, watchdog registration, breaker accounting, and
-/// result caching — exactly what the old synchronous handler did
-/// inline, so the facade's responses are unchanged.
+/// group's cancel token (which the scheduler fires on a client cancel,
+/// a watchdog overrun, or a forced drain), breaker accounting, and
+/// result caching.
 fn execute_solve(ctx: &ExecCtx, task: &SolveTask, job: &JobCtx) -> SolveOutcome {
-    let token = job.token().clone();
-    if ctx.hard_cancelled.load(Ordering::SeqCst) {
-        token.cancel();
-    }
     let budget = Budget::with_deadline_from_now(Duration::from_millis(task.timeout_ms))
-        .with_cancel_token(token.clone());
+        .with_cancel_token(job.token().clone());
     let reporter = job.progress_reporter();
     let mut solver = Solver::new()
         .with_method(task.method)
@@ -439,12 +353,6 @@ fn execute_solve(ctx: &ExecCtx, task: &SolveTask, job: &JobCtx) -> SolveOutcome 
         solver = solver.with_plan_hint(Arc::clone(plan));
     }
     let started = Instant::now();
-    let hard_deadline = started + Duration::from_millis(task.timeout_ms) + ctx.watchdog_period;
-    let inflight_id = ctx.inflight.register(token, hard_deadline);
-    let _inflight = InFlightGuard {
-        registry: &ctx.inflight,
-        id: inflight_id,
-    };
     match solver.solve(&task.ud, &task.query, &budget) {
         Ok(report) => {
             let elapsed = started.elapsed();
@@ -528,18 +436,6 @@ impl ServerHandle {
 
     pub fn is_shutdown(&self) -> bool {
         self.shared.shutdown.load(Ordering::SeqCst)
-    }
-
-    /// Cancel every in-flight request budget immediately (the
-    /// escalation a graceful drain falls back to after the grace
-    /// period). Solves admitted afterwards start out cancelled.
-    pub fn hard_cancel(&self) {
-        self.shared
-            .exec
-            .hard_cancelled
-            .store(true, Ordering::SeqCst);
-        self.shared.exec.inflight.cancel_all();
-        self.shared.sched.abort();
     }
 
     /// Rendered Prometheus metrics (same text `/metrics` serves).
@@ -756,11 +652,8 @@ impl Server {
             plan_cache: PlanCache::new(),
             metrics: Metrics::new(),
             breakers,
-            inflight: InFlightRegistry::default(),
-            hard_cancelled: AtomicBool::new(false),
             solver_threads: config.solver_threads,
             self_heal: config.self_heal,
-            watchdog_period: config.watchdog_period,
         });
         // `sched_workers == 0` mirrors the HTTP pool so a facade worker
         // always has a scheduler worker to wait on.
@@ -846,9 +739,9 @@ impl Server {
             })
             .collect();
 
-        // Stuck-worker watchdog: scans the in-flight registry every
-        // period and hard-cancels any solve past its hard deadline
-        // (budget deadline + one period of slack). Cancellation is
+        // Stuck-worker watchdog: every period, the scheduler hard-cancels
+        // any running solve past its hard deadline (budget deadline +
+        // one period of slack, see `run_limit`). Cancellation is
         // cooperative — the solve unwinds through the budget's latched
         // trip and still answers — but the watchdog guarantees no
         // request outlives its deadline by more than ~one period, even
@@ -863,10 +756,8 @@ impl Server {
                     .spawn(move || {
                         while !stopped.load(Ordering::SeqCst) {
                             std::thread::sleep(shared.config.watchdog_period);
-                            let shot = shared.exec.inflight.cancel_overdue(Instant::now());
-                            for _ in 0..shot {
-                                shared.exec.metrics.record_watchdog_cancel();
-                            }
+                            let shot = shared.sched.cancel_overdue(Instant::now());
+                            shared.exec.metrics.record_watchdog_cancels(shot);
                         }
                     })
                     .expect("spawn watchdog"),
@@ -917,13 +808,12 @@ impl Server {
                     drained_rx.recv_timeout(grace),
                     Err(std::sync::mpsc::RecvTimeoutError::Timeout)
                 ) {
-                    // The drain is overstaying its welcome: cancel every
-                    // in-flight budget and abort the scheduler; solves
+                    // The drain is overstaying its welcome: abort the
+                    // scheduler, which cancels queued jobs, refuses new
+                    // ones and fires every running solve's token; solves
                     // unwind via the latched trip cause and still answer
                     // (degraded).
                     forced.store(true, Ordering::SeqCst);
-                    shared.exec.hard_cancelled.store(true, Ordering::SeqCst);
-                    shared.exec.inflight.cancel_all();
                     shared.sched.abort();
                 }
             })
@@ -954,8 +844,6 @@ impl Server {
     }
 }
 
-/// Write the backpressure response in the acceptor thread (bounded
-/// work: a fixed ~120-byte write with a short timeout).
 /// Dynamic `Retry-After`: connection backlog plus scheduler backlog
 /// over the recently observed drain rate, clamped to 1..=30s — a deep
 /// queue behind a slow drain tells clients to back off longer than a
@@ -969,6 +857,8 @@ fn retry_after_hint(shared: &Shared) -> u64 {
     )
 }
 
+/// Write the backpressure response in the acceptor thread (bounded
+/// work: a fixed ~120-byte write with a short timeout).
 fn reject_connection(shared: &Shared, mut conn: TcpStream) {
     use std::io::Read;
     shared.exec.metrics.record_rejected();
@@ -1338,6 +1228,14 @@ fn submit_error_response(shared: &Shared, err: &SubmitError) -> Response {
     }
 }
 
+/// How long a solve may run before the watchdog's
+/// [`Scheduler::cancel_overdue`] shoots it: the request's budget
+/// deadline plus one watchdog period of slack, so a solve legitimately
+/// degrading *at* its deadline is never shot.
+fn run_limit(shared: &Shared, task: &SolveTask) -> Option<Duration> {
+    Some(Duration::from_millis(task.timeout_ms) + shared.config.watchdog_period)
+}
+
 /// Replay a stored [`SolveOutcome`] as the HTTP response (used by the
 /// facade and `GET /v1/jobs/{id}/result`). The body is the stored bytes
 /// verbatim — bit-identical across fetches by construction.
@@ -1348,9 +1246,10 @@ fn outcome_response(outcome: &SolveOutcome) -> Response {
 }
 
 /// `POST /v1/solve`: the synchronous facade over the job scheduler —
-/// admit, enqueue (coalescing with any equivalent in-flight job), block
-/// until the job is terminal. Existing clients see exactly the old
-/// contract, bit-identical bodies included.
+/// admit, then [`Scheduler::run`]: enqueue (coalescing with any
+/// equivalent in-flight job) and block until the job is terminal, its
+/// record pinned against retention eviction until read. Existing
+/// clients see exactly the old contract, bit-identical bodies included.
 fn solve(shared: &Shared, req: &Request) -> Response {
     let admission = match admit_solve(shared, req) {
         Ok(a) => a,
@@ -1364,40 +1263,37 @@ fn solve(shared: &Shared, req: &Request) -> Response {
         }
         Admitted::Enqueue { task, key } => (task, key),
     };
-    let sub = match shared
-        .sched
-        .submit(&admission.tenant, admission.priority, Some(key), task)
-    {
+    let snap = match shared.sched.run(
+        &admission.tenant,
+        admission.priority,
+        Some(key),
+        run_limit(shared, &task),
+        task,
+    ) {
         Ok(s) => s,
         Err(e) => return submit_error_response(shared, &e),
     };
-    let with_plan_header = |resp: Response| match admission.plan {
-        Some(status) => resp.with_header("X-Qrel-Plan", status.as_str()),
-        None => resp,
-    };
-    match shared.sched.wait(&admission.tenant, sub.job_id, None) {
-        Some(snap) => match snap.state {
-            JobState::Done => with_plan_header(outcome_response(
-                &snap.result.expect("done job has a result"),
-            )),
-            JobState::Failed => Response::json(
-                500,
-                error_body(500, snap.error.as_deref().unwrap_or("job failed"), None),
-            ),
-            JobState::Cancelled => Response::json(
-                503,
-                error_body(
-                    503,
-                    "job cancelled while the server was shutting down",
-                    None,
-                ),
-            ),
-            // `wait(.., None)` only returns on a terminal state.
-            JobState::Queued | JobState::Running => {
-                Response::json(500, error_body(500, "job wait returned early", None))
+    match snap.state {
+        JobState::Done => {
+            let resp = outcome_response(&snap.result.expect("done job has a result"));
+            match admission.plan {
+                Some(status) => resp.with_header("X-Qrel-Plan", status.as_str()),
+                None => resp,
             }
-        },
-        None => Response::json(500, error_body(500, "job record lost", None)),
+        }
+        JobState::Cancelled => Response::json(
+            503,
+            error_body(
+                503,
+                "job cancelled while the server was shutting down",
+                None,
+            ),
+        ),
+        // `run` returns only terminal snapshots, so this is `Failed`.
+        _ => Response::json(
+            500,
+            error_body(500, snap.error.as_deref().unwrap_or("job failed"), None),
+        ),
     }
 }
 
@@ -1429,11 +1325,13 @@ fn job_submit(shared: &Shared, req: &Request) -> Response {
                 elapsed_us: 0,
             }),
         ),
-        Admitted::Enqueue { task, key } => {
-            shared
-                .sched
-                .submit(&admission.tenant, admission.priority, Some(key), task)
-        }
+        Admitted::Enqueue { task, key } => shared.sched.submit(
+            &admission.tenant,
+            admission.priority,
+            Some(key),
+            run_limit(shared, &task),
+            task,
+        ),
     };
     match submitted {
         Ok(sub) => {
@@ -2360,6 +2258,49 @@ mod tests {
         let (_, _, status_a) = poll_job(addr, &[], id_a);
         assert!(status_a.contains("\"state\":\"cancelled\""), "{status_a}");
         let _ = occupier.join().unwrap();
+        handle.shutdown();
+        join.join().unwrap();
+    }
+
+    #[test]
+    fn facade_answers_survive_a_one_record_retention_cap() {
+        let _quiet = qrel_faults::quiesce();
+        // Four scheduler workers retire records concurrently while
+        // `job_retain_cap: 1` keeps only the newest: a facade waiter must
+        // still receive its own job's outcome, never "job record lost".
+        let (addr, handle, join) = boot(ServerConfig {
+            workers: 4,
+            job_retain_cap: 1,
+            cache_bytes: 0,
+            ..example_config()
+        });
+        let clients: Vec<_> = (0..4u64)
+            .map(|c| {
+                std::thread::spawn(move || {
+                    (0..50u64)
+                        .map(|i| {
+                            let body = format!(
+                                r#"{{"dataset":"example","query":"exists x. Admin(x)","method":"exact","seed":{}}}"#,
+                                c * 1000 + i
+                            );
+                            let (s, _, b) = http(addr, "POST", "/v1/solve", &body);
+                            (s, b)
+                        })
+                        .filter(|(s, _)| *s != 200)
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        let failed: Vec<_> = clients
+            .into_iter()
+            .flat_map(|c| c.join().unwrap())
+            .collect();
+        assert!(
+            failed.is_empty(),
+            "{} of 200 failed: {:?}",
+            failed.len(),
+            failed.first()
+        );
         handle.shutdown();
         join.join().unwrap();
     }
