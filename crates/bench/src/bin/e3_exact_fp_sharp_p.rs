@@ -9,11 +9,14 @@ use qrel_arith::{BigInt, BigRational};
 use qrel_bench::perf::BenchReport;
 use qrel_bench::{fmt_secs, random_graph_db, with_random_errors, Table};
 use qrel_core::exact::{counting_certificate, exact_probability};
+use qrel_core::existential::DEFAULT_MAX_TERMS;
 use qrel_core::existential_probability_bitslice;
-use qrel_eval::FoQuery;
+use qrel_count::dnf_probability_bitslice;
+use qrel_eval::{ground_existential, FoQuery};
 use qrel_prob::normalizer::{paper_g, sound_g};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::HashMap;
 
 fn main() {
     println!("E3 — weighted world counting and the g normalizer (Thm 4.2)\n");
@@ -96,8 +99,20 @@ fn main() {
     let (serial, serial_secs) = report.timed("exact_serial_u16", 3, || {
         exact_probability(&ud, &q).unwrap()
     });
+    // The gated kernel workload: the *unfolded* lineage (every visited
+    // fact a variable, certain ones included), its ν lookup and the
+    // bit-sliced count, all inside the timed closure — the fixed work
+    // the enumerator's 8x bound below is measured against.
     let (fast, fast_secs) = report.timed("exact_bitslice_u16", 5, || {
-        existential_probability_bitslice(&ud, q.formula()).unwrap()
+        let g = ground_existential(
+            ud.observed(),
+            q.formula(),
+            &HashMap::new(),
+            DEFAULT_MAX_TERMS,
+        )
+        .unwrap();
+        let probs: Vec<BigRational> = g.facts.iter().map(|f| ud.nu(f)).collect();
+        dnf_probability_bitslice(&g.dnf, &probs)
     });
     assert_eq!(
         serial, fast,
@@ -108,6 +123,19 @@ fn main() {
         "u = {u}: enumeration {} vs bitslice {} — {speedup:.1}x, results bit-identical",
         fmt_secs(serial_secs),
         fmt_secs(fast_secs)
+    );
+    // The production path folds certain facts out of the lineage first,
+    // so it counts over the uncertain facts only. Reported, not gated.
+    let (folded, folded_secs) =
+        qrel_bench::timed(|| existential_probability_bitslice(&ud, q.formula()).unwrap());
+    assert_eq!(
+        serial, folded,
+        "bit-sliced engine on folded lineage disagreed with world enumeration"
+    );
+    println!(
+        "u = {u}: folded lineage + bitslice {} — {:.1}x faster than enumeration (not gated)",
+        fmt_secs(folded_secs),
+        serial_secs / folded_secs
     );
     // The enumerator evaluates a compiled query and counts in integer
     // weights ν(𝔅)·g, so per-world overhead no longer separates it from

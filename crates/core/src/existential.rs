@@ -2,9 +2,10 @@
 //!
 //! The pipeline is exactly the proof's: ground the existential sentence
 //! over the database (`qrel_eval::ground_existential`, quantifiers →
-//! disjunctions, equalities → constants, facts → propositional
-//! variables), obtaining a kDNF `ψ''` whose variables carry the
-//! probabilities `ν(Rā)`; then approximate `ν(ψ'')`:
+//! disjunctions, equalities → constants, certain facts → constants,
+//! uncertain facts → propositional variables), obtaining a kDNF `ψ''`
+//! whose variables carry the probabilities `ν(Rā)`; then approximate
+//! `ν(ψ'')`:
 //!
 //! * [`Route::ViaCounting`] — the paper's route: the Theorem 5.3
 //!   reduction to #DNF followed by Karp–Luby counting;
@@ -41,6 +42,10 @@ pub enum Route {
 
 /// Ground a (possibly non-sentence) existential formula and pair each
 /// propositional variable with its fact probability `ν`.
+///
+/// Facts with `ν ∈ {0, 1}` are folded to constants during grounding
+/// ([`UnreliableDatabase::fixed_truth`]), so every variable is uncertain
+/// (`0 < ν < 1`) and the lineage is the query's on the UD's worlds.
 pub fn ground_with_probabilities(
     ud: &UnreliableDatabase,
     formula: &Formula,
@@ -58,8 +63,14 @@ pub fn ground_with_probabilities_budgeted(
     max_terms: usize,
     budget: &Budget,
 ) -> Result<(Grounding, Vec<BigRational>), QrelError> {
-    let grounding =
-        ground_existential_budgeted(ud.observed(), formula, bindings, max_terms, budget)?;
+    let grounding = ground_existential_budgeted(
+        ud.observed(),
+        formula,
+        bindings,
+        max_terms,
+        &|f| ud.fixed_truth(f),
+        budget,
+    )?;
     let probs = grounding.facts.iter().map(|f| ud.nu(f)).collect();
     Ok((grounding, probs))
 }

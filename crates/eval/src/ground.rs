@@ -7,6 +7,13 @@
 //! bounded by the size of `φ`, *independent of the database* — of length
 //! polynomial in `n`, whose probability under `ν` equals the probability
 //! that `ψ` holds in a random actual database.
+//!
+//! Facts whose truth is fixed (`ν ∈ {0, 1}`) are constants, not random
+//! variables: the grounder takes a classifier and folds such atoms to
+//! `⊤`/`⊥` as it visits them. DNF conversion and simplification then
+//! drop true literals and false terms, so only uncertain facts become
+//! variables — and a term built only from certain facts makes `ψ''`
+//! trivially true.
 
 use qrel_budget::{Budget, Exhausted, Resource};
 use qrel_db::{Database, Fact, FactIndexer};
@@ -81,6 +88,12 @@ impl Grounding {
 
     /// Evaluate the grounded formula on a concrete database of the same
     /// format (each variable takes the truth value of its fact).
+    ///
+    /// A grounding folded under a classifier (see
+    /// [`ground_existential_budgeted`]) no longer mentions its fixed
+    /// facts, so it agrees with the sentence only on databases that give
+    /// every fixed fact its classified value — for the UD it was folded
+    /// for, exactly the worlds of positive probability.
     pub fn eval_on(&self, db: &Database) -> bool {
         let assignment: Vec<bool> = self.facts.iter().map(|f| db.holds(f)).collect();
         self.dnf.eval(&assignment)
@@ -106,6 +119,9 @@ impl Grounding {
 struct Grounder<'a> {
     db: &'a Database,
     budget: &'a Budget,
+    /// Fixed truth of a fact (`Some(true)`/`Some(false)`), or `None`
+    /// for an uncertain fact that becomes a variable.
+    fixed: &'a dyn Fn(&Fact) -> Option<bool>,
     indexer: FactIndexer,
     atoms: AtomTable,
     facts: Vec<Fact>,
@@ -164,9 +180,11 @@ impl<'a> Grounder<'a> {
                     .iter()
                     .map(|t| self.term(t))
                     .collect::<Result<_, _>>()?;
-                Ok(PropFormula::Var(
-                    self.var_for_fact(Fact::new(rel_ix, tuple)),
-                ))
+                let fact = Fact::new(rel_ix, tuple);
+                Ok(match (self.fixed)(&fact) {
+                    Some(truth) => PropFormula::Const(truth),
+                    None => PropFormula::Var(self.var_for_fact(fact)),
+                })
             }
             Formula::Not(inner) => match inner.as_ref() {
                 Formula::Atom { .. } => Ok(PropFormula::not(self.expand(inner)?)),
@@ -230,24 +248,39 @@ pub fn ground_existential(
     bindings: &HashMap<String, u32>,
     max_terms: usize,
 ) -> Result<Grounding, GroundError> {
-    ground_existential_budgeted(db, formula, bindings, max_terms, &Budget::unlimited())
+    ground_existential_budgeted(
+        db,
+        formula,
+        bindings,
+        max_terms,
+        &|_| None,
+        &Budget::unlimited(),
+    )
 }
 
-/// [`ground_existential`] under a cooperative [`Budget`]: the expansion
+/// [`ground_existential`] with fixed facts folded out, under a
+/// cooperative [`Budget`].
+///
+/// Every atom whose fact `fixed` classifies as `Some(b)` grounds to the
+/// constant `b` and never becomes a variable; a classifier that fixes
+/// nothing reproduces [`ground_existential`] exactly. The expansion
 /// recursion checkpoints the deadline/cancellation on every node, the
 /// DNF size is additionally clamped to the budget's remaining
-/// [`Resource::Terms`], and the produced terms are charged against it.
+/// [`Resource::Terms`], and the produced terms (after folding) are
+/// charged against it.
 pub fn ground_existential_budgeted(
     db: &Database,
     formula: &Formula,
     bindings: &HashMap<String, u32>,
     max_terms: usize,
+    fixed: &dyn Fn(&Fact) -> Option<bool>,
     budget: &Budget,
 ) -> Result<Grounding, GroundError> {
     let nnf = formula.to_nnf();
     let mut g = Grounder {
         db,
         budget,
+        fixed,
         indexer: db.fact_indexer(),
         atoms: AtomTable::new(),
         facts: Vec::new(),
@@ -276,8 +309,9 @@ pub fn ground_existential_budgeted(
     budget
         .charge(Resource::Terms, dnf.num_terms() as u64)
         .map_err(GroundError::Budget)?;
-    // Compact: expansion interns a variable for every atom it *visits*,
-    // including ones eliminated by equality constants or simplification.
+    // Compact: expansion interns a variable for every uncertain atom it
+    // *visits*, including ones eliminated by equality constants, folded
+    // siblings or simplification.
     // Keep only variables the final DNF mentions, renumbering densely.
     let used = dnf.vars();
     let mut remap: HashMap<VarId, VarId> = HashMap::new();
@@ -305,6 +339,7 @@ mod tests {
     use crate::fo::eval_sentence;
     use qrel_db::DatabaseBuilder;
     use qrel_logic::parser::parse_formula;
+    use qrel_logic::prop::Lit;
 
     fn graph() -> Database {
         DatabaseBuilder::new()
@@ -459,6 +494,99 @@ mod tests {
             ground_existential(&db, &f, &HashMap::new(), 10),
             Err(GroundError::TooLarge { .. })
         ));
+    }
+
+    /// Ground `src` over [`graph`] with the facts named in `fixed`
+    /// (`"S(0)"` style) folded to the given truth values.
+    fn ground_fixing(src: &str, fixed: &[(&str, bool)]) -> Grounding {
+        let db = graph();
+        let f = parse_formula(src).unwrap();
+        let classify = |fact: &Fact| {
+            let name = fact.display(db.vocabulary()).to_string();
+            fixed.iter().find(|(n, _)| *n == name).map(|&(_, b)| b)
+        };
+        ground_existential_budgeted(
+            &db,
+            &f,
+            &HashMap::new(),
+            1000,
+            &classify,
+            &Budget::unlimited(),
+        )
+        .unwrap()
+    }
+
+    fn names(g: &Grounding) -> Vec<&str> {
+        (0..g.num_vars() as VarId)
+            .map(|v| g.atoms.name(v))
+            .collect()
+    }
+
+    #[test]
+    fn certain_true_literal_drops_out() {
+        let g = ground_fixing("exists x. S(x) & E(x,x)", &[("S(1)", true)]);
+        // Term x=1 keeps only E(1,1); the other terms keep both atoms.
+        assert_eq!(g.dnf.num_terms(), 3);
+        assert!(!names(&g).contains(&"S(1)"));
+        assert!(g
+            .dnf
+            .terms()
+            .iter()
+            .any(|t| t.len() == 1 && g.atoms.name(t[0].var) == "E(1,1)"));
+    }
+
+    #[test]
+    fn term_with_certain_false_literal_drops_out() {
+        let g = ground_fixing("exists x. S(x) & E(x,x)", &[("E(2,2)", false)]);
+        assert_eq!(g.dnf.num_terms(), 2);
+        assert!(!names(&g).contains(&"S(2)"));
+        assert!(!names(&g).contains(&"E(2,2)"));
+        // A negated atom over a certainly-true fact is certainly false.
+        let g = ground_fixing("exists x. S(x) & !E(x,x)", &[("E(0,0)", true)]);
+        assert_eq!(g.dnf.num_terms(), 2);
+        assert!(!names(&g).contains(&"S(0)"));
+        assert!(!names(&g).contains(&"E(0,0)"));
+    }
+
+    #[test]
+    fn term_of_certain_facts_makes_lineage_true() {
+        let g = ground_fixing(
+            "exists x y. E(x,y) & !S(y)",
+            &[("E(0,1)", true), ("S(1)", false)],
+        );
+        assert!(g.dnf.is_trivially_true());
+        // ⊤ subsumes every other term: nothing is left to sample.
+        assert_eq!(g.dnf.num_terms(), 1);
+        assert_eq!(g.num_vars(), 0);
+    }
+
+    #[test]
+    fn classifier_that_fixes_nothing_is_plain_grounding() {
+        // Every visited fact is a variable, interned in visit order.
+        let g = ground_fixing("exists x. S(x) & !E(x,x)", &[]);
+        assert_eq!(
+            names(&g),
+            ["S(0)", "E(0,0)", "S(1)", "E(1,1)", "S(2)", "E(2,2)"]
+        );
+        let expected = Dnf::from_terms((0..3).map(|i| [Lit::pos(2 * i), Lit::neg(2 * i + 1)]));
+        assert_eq!(g.dnf, expected);
+        for src in [
+            "exists x y. E(x,y) & S(x)",
+            "exists x. S(x) & !E(x,x)",
+            "exists x y z. E(x,y) & E(y,z) & S(z) & x != z",
+        ] {
+            let plain = ground_existential(
+                &graph(),
+                &parse_formula(src).unwrap(),
+                &HashMap::new(),
+                1000,
+            )
+            .unwrap();
+            let folded = ground_fixing(src, &[]);
+            assert_eq!(folded.dnf, plain.dnf, "{src}");
+            assert_eq!(names(&folded), names(&plain), "{src}");
+            assert_eq!(folded.facts, plain.facts, "{src}");
+        }
     }
 
     #[test]

@@ -9,10 +9,12 @@
 //!
 //! Exact engines must agree **bit-for-bit** in exact rationals — the
 //! serial Gray-code enumerator (`exact_probability`, Thm 4.2) is the
-//! oracle, and the safe-plan evaluator, the Thm 5.4 grounding + Shannon
-//! pipeline, and the bit-sliced world enumerator (64 worlds per word,
-//! dyadic fast-path arithmetic) are all held to exact equality against
-//! it. For DNF events, Shannon expansion is the oracle and
+//! oracle, and the safe-plan evaluator, Shannon expansion on the
+//! unfolded Thm 5.4 grounding (every visited fact a variable), and the
+//! bit-sliced world enumerator (64 worlds per word, dyadic fast-path
+//! arithmetic) on the folded one (certain facts turned into constants)
+//! are all held to exact equality against it — one referee per
+//! lineage. For DNF events, Shannon expansion is the oracle and
 //! inclusion–exclusion, the ROBDD, the bit-sliced enumerator, and the
 //! model counters must match.
 //!
@@ -32,10 +34,10 @@ use crate::case::FuzzCase;
 use crate::reference;
 use qrel_arith::BigRational;
 use qrel_budget::Budget;
+use qrel_core::existential::DEFAULT_MAX_TERMS;
 use qrel_core::{
     exact_probability, exact_reliability, existential_probability_bitslice,
-    existential_probability_exact, existential_probability_fptras, ExactReport, PaddingEstimator,
-    Route,
+    existential_probability_fptras, ExactReport, PaddingEstimator, Route,
 };
 use qrel_count::exact_dnf::dnf_count_models;
 use qrel_count::naive_mc::naive_mc_probability_sharded;
@@ -43,13 +45,14 @@ use qrel_count::{
     bounds::hoeffding_samples, dnf_count_models_bitslice, dnf_probability_bdd,
     dnf_probability_bitslice, dnf_probability_ie, dnf_probability_shannon, Bdd, KarpLuby,
 };
-use qrel_eval::{FoQuery, Query};
+use qrel_eval::{ground_existential, FoQuery, Query};
 use qrel_logic::{Formula, Fragment};
 use qrel_par::split_seed;
 use qrel_prob::UnreliableDatabase;
 use qrel_runtime::{Confidence, Method, Solver};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::HashMap;
 
 /// A deterministic disagreement between two engines. Always a bug in
 /// one of them (or in the oracle harness itself) — never noise.
@@ -263,24 +266,33 @@ fn check_query_case(
         }
     }
 
-    // Thm 5.4 grounding + Shannon (existential fragment, incl. QF).
+    // Thm 5.4 grounding + Shannon (existential fragment, incl. QF), on
+    // the *unfolded* lineage: every visited fact is a variable, certain
+    // ones included. It checks the grounding itself; `exact-bitslice`
+    // below checks the folded lineage.
     let existential = matches!(
         formula.fragment(),
         Fragment::QuantifierFree | Fragment::Existential | Fragment::Conjunctive
     );
     if existential {
-        match existential_probability_exact(ud, formula) {
-            Ok(q) if q == p => {}
-            Ok(q) => out.fail(
-                "grounding-shannon",
-                format!("grounded Shannon {q} != enumerator {p}"),
-            ),
+        match ground_existential(ud.observed(), formula, &HashMap::new(), DEFAULT_MAX_TERMS) {
+            Ok(g) => {
+                let probs: Vec<BigRational> = g.facts.iter().map(|f| ud.nu(f)).collect();
+                let q = dnf_probability_shannon(&g.dnf, &probs);
+                if q != p {
+                    out.fail(
+                        "grounding-shannon",
+                        format!("grounded Shannon {q} != enumerator {p}"),
+                    );
+                }
+            }
             Err(e) => out.fail("grounding-shannon", format!("failed: {e}")),
         }
 
-        // Grounding + bit-sliced world enumeration: the fixed-width
-        // dyadic fast path with BigRational promotion must be exactly
-        // the Thm 4.2 value, bit for bit.
+        // Folded grounding + bit-sliced world enumeration: the lineage
+        // over uncertain facts only, counted by the fixed-width dyadic
+        // fast path with BigRational promotion, must be exactly the
+        // Thm 4.2 value, bit for bit.
         match existential_probability_bitslice(ud, formula) {
             Ok(q) if q == p => {}
             Ok(q) => out.fail(

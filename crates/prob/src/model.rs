@@ -212,6 +212,20 @@ impl UnreliableDatabase {
         }
     }
 
+    /// The actual truth value of a fact that is not random: the observed
+    /// value when `μ = 0`, its negation when `μ = 1` (i.e. `ν ∈ {0, 1}`).
+    /// `None` for an uncertain fact (`0 < μ < 1`).
+    pub fn fixed_truth(&self, fact: &Fact) -> Option<bool> {
+        let mu = self.mu(fact);
+        if mu.is_zero() {
+            Some(self.observed.holds(fact))
+        } else if mu.is_one() {
+            Some(!self.observed.holds(fact))
+        } else {
+            None
+        }
+    }
+
     /// Dense indices of facts whose actual truth value is genuinely random
     /// (`0 < μ < 1`). These are the dimensions of the world space; facts
     /// with `μ = 0` are pinned to the observed value and facts with

@@ -1067,6 +1067,30 @@ mod tests {
     }
 
     #[test]
+    fn fptras_on_certain_witness_is_one_without_sampling() {
+        // Serialize against fault-armed tests (arming is process-global).
+        let _quiet = qrel_faults::quiesce();
+        // S(0) is observed and certain (μ = 0): grounding folds the term
+        // x = y = 0 to ⊤, so the lineage is trivially true and Karp–Luby
+        // answers exactly 1 without drawing a sample.
+        let mut ud = small_ud();
+        ud.set_error(&Fact::new(0, vec![0]), BigRational::zero())
+            .unwrap();
+        let q = FoQuery::parse("exists x y. (S(x) & S(y))").unwrap();
+        for threads in [1usize, 2, 4] {
+            let report = Solver::new()
+                .with_method(Method::Fptras)
+                .with_threads(threads)
+                .solve(&ud, &q, &Budget::unlimited())
+                .unwrap();
+            assert_eq!(report.method, Method::Fptras);
+            assert!(report.confidence.is_guaranteed());
+            assert_eq!(report.reliability.to_bits(), 1.0f64.to_bits());
+            assert_eq!(report.samples, 0, "threads = {threads}");
+        }
+    }
+
+    #[test]
     fn deadline_is_respected_within_slack() {
         // Serialize against fault-armed tests (arming is process-global).
         let _quiet = qrel_faults::quiesce();

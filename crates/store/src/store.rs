@@ -854,6 +854,11 @@ impl Store {
     }
 }
 
+// Fault arming is process-global and the tests run in parallel, so
+// every test that writes to a store holds the fault session for all of
+// its writes: `qrel_faults::quiesce()` for clean writes, the armed
+// plan's guard for the one write meant to fail. Otherwise one test's
+// commit can consume the fault another test armed.
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -884,6 +889,7 @@ mod tests {
 
     #[test]
     fn ingest_reopen_round_trip_is_bit_identical() {
+        let _quiet = qrel_faults::quiesce();
         let dir = tmp_dir("roundtrip");
         let mut store = Store::init(&dir).unwrap();
         let spec = sample_spec();
@@ -909,6 +915,7 @@ mod tests {
 
     #[test]
     fn incremental_hash_tracks_mutations() {
+        let _quiet = qrel_faults::quiesce();
         let dir = tmp_dir("incremental");
         let mut store = Store::init(&dir).unwrap();
         store.ingest_spec("d", &sample_spec()).unwrap();
@@ -946,6 +953,7 @@ mod tests {
 
     #[test]
     fn probability_strings_are_canonicalized() {
+        let _quiet = qrel_faults::quiesce();
         let dir = tmp_dir("canon");
         let mut store = Store::init(&dir).unwrap();
         store
@@ -967,6 +975,7 @@ mod tests {
 
     #[test]
     fn commit_validation_rejects_bad_mutations() {
+        let _quiet = qrel_faults::quiesce();
         let dir = tmp_dir("validate");
         let mut store = Store::init(&dir).unwrap();
         store
@@ -992,6 +1001,7 @@ mod tests {
 
     #[test]
     fn positive_only_rejects_absent_uncertain_facts() {
+        let _quiet = qrel_faults::quiesce();
         let dir = tmp_dir("positive");
         let mut store = Store::init(&dir).unwrap();
         store
@@ -1015,6 +1025,7 @@ mod tests {
 
     #[test]
     fn compact_preserves_hash_and_drops_dead_rows() {
+        let _quiet = qrel_faults::quiesce();
         let dir = tmp_dir("compact");
         let mut store = Store::init(&dir).unwrap();
         store.ingest_spec("d", &sample_spec()).unwrap();
@@ -1045,6 +1056,7 @@ mod tests {
 
     #[test]
     fn torn_write_aborts_commit_and_reopen_recovers() {
+        let quiet = qrel_faults::quiesce();
         let dir = tmp_dir("torn");
         let mut store = Store::init(&dir).unwrap();
         store.ingest_spec("d", &sample_spec()).unwrap();
@@ -1056,6 +1068,7 @@ mod tests {
             0,
             1,
         );
+        drop(quiet);
         {
             let _guard = plan.arm();
             assert!(matches!(
@@ -1063,6 +1076,7 @@ mod tests {
                 Err(StoreError::Injected(_))
             ));
         }
+        let _quiet = qrel_faults::quiesce();
         // The torn temp file exists on disk but the manifest ignores it.
         drop(store);
         let store = Store::open(&dir).unwrap();
@@ -1078,6 +1092,7 @@ mod tests {
 
     #[test]
     fn mid_commit_crash_leaves_old_state_and_gc_cleans_orphan() {
+        let quiet = qrel_faults::quiesce();
         let dir = tmp_dir("crash");
         let mut store = Store::init(&dir).unwrap();
         store.ingest_spec("d", &sample_spec()).unwrap();
@@ -1090,6 +1105,7 @@ mod tests {
             0,
             1,
         );
+        drop(quiet);
         {
             let _guard = plan.arm();
             assert!(matches!(
@@ -1097,6 +1113,7 @@ mod tests {
                 Err(StoreError::Injected(_))
             ));
         }
+        let _quiet = qrel_faults::quiesce();
         // The orphan .seg landed but is unreferenced; reopen recovers
         // the previous state and deletes it.
         drop(store);
@@ -1117,6 +1134,7 @@ mod tests {
 
     #[test]
     fn dump_spec_round_trips_through_interchange() {
+        let _quiet = qrel_faults::quiesce();
         let dir = tmp_dir("dump");
         let mut store = Store::init(&dir).unwrap();
         let spec = sample_spec();
