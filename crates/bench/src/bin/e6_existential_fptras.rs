@@ -82,8 +82,7 @@ fn main() {
             .reliability
             .to_f64();
         let (rep, secs) = qrel_bench::timed(|| {
-            approximate_reliability(&ud, &unary, &free, 0.15, 0.15, Route::Direct, &mut rng)
-                .unwrap()
+            approximate_reliability(&ud, &unary, &free, 0.15, 0.15, &mut rng).unwrap()
         });
         table2.row(&[
             n.to_string(),

@@ -136,6 +136,7 @@ fn main() {
                 .unwrap()
         });
         let (base_est, base_secs) = *serial.get_or_insert((rep.estimate, secs));
+        assert_eq!(rep.estimate.to_bits(), base_est.to_bits());
         t4.row(&[
             threads.to_string(),
             format!("{:.5}", rep.estimate),

@@ -42,7 +42,9 @@ pub use existential::{
     existential_probability_fptras, Route,
 };
 pub use prob_dnf::ProbDnfReduction;
-pub use ptime_estimator::{PaddingEstimator, PaddingOutcome, PtimeEstimate};
+pub use ptime_estimator::{
+    direct_reliability_budgeted, PaddingEstimator, PaddingOutcome, PtimeEstimate,
+};
 pub use quantifier_free::{qf_reliability, qf_reliability_budgeted, QfOutcome};
 pub use reliability_approx::{
     approximate_reliability, approximate_reliability_budgeted, ApproxOutcome,

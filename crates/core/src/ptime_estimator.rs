@@ -19,13 +19,15 @@
 //! public API takes the target `ε` and internally runs at `ε/2`, exactly
 //! as the proof does.
 //!
-//! [`direct_probability`] (plain Hoeffding sampling) is also provided —
-//! the ablation experiment compares the two samplers' budgets.
+//! [`direct_reliability_budgeted`] (plain Hoeffding sampling, the
+//! solver's cheapest rung) and its Boolean entry [`direct_probability`]
+//! are also provided — the ablation experiment compares the two
+//! samplers' budgets.
 
 use qrel_arith::BigRational;
 use qrel_budget::{Budget, Exhausted, Resource};
 use qrel_count::bounds::{hoeffding_samples, karp_luby_t};
-use qrel_eval::{EvalError, Query};
+use qrel_eval::{rank_difference, EvalError, Query};
 use qrel_par::{run_settled, run_shards, shard_counts, split_seed, DEFAULT_SHARDS};
 use qrel_prob::sampler::bernoulli;
 use qrel_prob::{UnreliableDatabase, WorldSampler};
@@ -40,8 +42,10 @@ pub struct PtimeEstimate {
     pub estimate: f64,
     /// Total samples drawn.
     pub samples: u64,
-    /// The raw padded-query mean `X̃` (diagnostic; in `[ξ², ξ]` in
-    /// expectation).
+    /// The raw sample mean (diagnostic): the padded-query mean `X̃` of
+    /// the Boolean padding estimator (in `[ξ², ξ]` in expectation), the
+    /// mean normalized error of the direct sampler, `NaN` for the padding
+    /// reliability estimate.
     pub padded_mean: f64,
 }
 
@@ -109,53 +113,33 @@ impl PaddingEstimator {
         xi2.add_ref(&self.xi.sub_ref(&xi2).mul_ref(nu_psi))
     }
 
-    /// Estimate `ν(ψ)` for a Boolean query with `Pr[|α − ν(ψ)| > ε] < δ`.
-    ///
-    /// Each sample draws a world `𝔅 ~ ν` plus two independent
-    /// `ξ`-Bernoullis for the padding facts `Rc`, `Rd`, and evaluates
-    /// `X = (ψ^𝔅 ∨ Rc) ∧ Rd` — the padded query on the extended
-    /// database, with `ψ` relativized to the original universe (the fresh
-    /// constants are, by construction, irrelevant to `ψ`).
+    /// Estimate `ν(ψ)` for a Boolean query with `Pr[|α − ν(ψ)| > ε] < δ`:
+    /// one seed drawn from `rng`, then
+    /// [`Self::estimate_probability_sharded`] on one thread.
     pub fn estimate_probability<R: Rng>(
         &self,
         ud: &UnreliableDatabase,
-        query: &dyn Query,
+        query: &(dyn Query + Sync),
         eps: f64,
         delta: f64,
         rng: &mut R,
     ) -> Result<PtimeEstimate, EvalError> {
-        assert_eq!(
-            query.arity(),
-            0,
-            "estimate_probability requires a Boolean query"
-        );
-        let t = self.samples_for(eps, delta);
-        let sampler = WorldSampler::new(ud);
-        let mut hits = 0u64;
-        for _ in 0..t {
-            let rc = bernoulli(&self.xi, rng);
-            let rd = bernoulli(&self.xi, rng);
-            // Lazy evaluation: ψ only matters when Rd ∧ ¬Rc.
-            let x = rd && (rc || query.eval(&sampler.sample(rng), &[])?);
-            if x {
-                hits += 1;
-            }
-        }
-        let padded_mean = hits as f64 / t as f64;
-        let xi = self.xi.to_f64();
-        let estimate = ((padded_mean - xi * xi) / (xi - xi * xi)).clamp(0.0, 1.0);
-        Ok(PtimeEstimate {
-            estimate,
-            samples: t,
-            padded_mean,
-        })
+        self.estimate_probability_sharded(ud, query, eps, delta, rng.gen(), 1)
     }
 
-    /// Sharded deterministic [`Self::estimate_probability`]: the Lemma
-    /// 5.11 sample count is cut into [`DEFAULT_SHARDS`] fixed pieces,
-    /// each drawn on an independent seed-split `StdRng` with its own
-    /// [`WorldSampler`], and the integer hit counts are merged exactly —
-    /// the result depends on `(eps, delta, seed)` but never on `threads`.
+    /// Seeded, sharded estimate of `ν(ψ)` for a Boolean query.
+    ///
+    /// Each sample draws two independent `ξ`-Bernoullis for the padding
+    /// facts `Rc`, `Rd` and, only when `Rd ∧ ¬Rc`, a world `𝔅 ~ ν`, and
+    /// evaluates `X = (ψ^𝔅 ∨ Rc) ∧ Rd` — the padded query on the extended
+    /// database, with `ψ` relativized to the original universe (the fresh
+    /// constants are, by construction, irrelevant to `ψ`).
+    ///
+    /// The Lemma 5.11 sample count is cut into [`DEFAULT_SHARDS`] fixed
+    /// pieces, each drawn on an independent seed-split `StdRng` with its
+    /// own [`WorldSampler`] and its own [`Query::bind`], and the integer
+    /// hit counts are merged exactly — the result depends on
+    /// `(eps, delta, seed)` but never on `threads`.
     pub fn estimate_probability_sharded(
         &self,
         ud: &UnreliableDatabase,
@@ -175,11 +159,18 @@ impl PaddingEstimator {
         let parts = run_shards(DEFAULT_SHARDS, threads, |s| {
             let mut rng = StdRng::seed_from_u64(split_seed(seed, s as u64));
             let sampler = WorldSampler::new(ud);
+            let mut bound = query.bind(ud.observed());
+            let mut answers = Vec::new();
             let mut hits = 0u64;
             for _ in 0..counts[s] {
                 let rc = bernoulli(&self.xi, &mut rng);
                 let rd = bernoulli(&self.xi, &mut rng);
-                let x = rd && (rc || query.eval(&sampler.sample(&mut rng), &[])?);
+                // A Boolean query answers `[0]` when it holds.
+                let x = rd
+                    && (rc || {
+                        bound.answer_ranks(&sampler.sample(&mut rng), &mut answers)?;
+                        !answers.is_empty()
+                    });
                 if x {
                     hits += 1;
                 }
@@ -201,72 +192,53 @@ impl PaddingEstimator {
     }
 
     /// Estimate the reliability of a k-ary polynomial-time query with
-    /// absolute error `ε` at confidence `1 − δ`, by the per-tuple budget
-    /// split of the theorem's k-ary clause.
+    /// absolute error `ε` at confidence `1 − δ`: one seed drawn from
+    /// `rng`, then [`Self::estimate_reliability_budgeted`] on one thread
+    /// under [`Budget::unlimited`].
     pub fn estimate_reliability<R: Rng>(
         &self,
         ud: &UnreliableDatabase,
-        query: &dyn Query,
+        query: &(dyn Query + Sync),
         eps: f64,
         delta: f64,
         rng: &mut R,
     ) -> Result<PtimeEstimate, EvalError> {
-        let k = query.arity();
-        let db = ud.observed();
-        let tuples: Vec<Vec<u32>> = db.universe().tuples(k).collect();
-        let nk = tuples.len().max(1);
-        let per_eps = (eps / nk as f64).max(1e-9);
-        let per_delta = (delta / nk as f64).min(0.5);
-        let sampler = WorldSampler::new(ud);
-        let t = self.samples_for(per_eps, per_delta);
-
-        let mut h = 0.0f64;
-        let mut total_samples = 0u64;
-        let xi = self.xi.to_f64();
-        for tuple in &tuples {
-            let observed = query.eval(db, tuple)?;
-            // Padded query for ψ(ā) if observed is false, for ¬ψ(ā) if
-            // observed true — either way the padded mean estimates
-            // ν(error at ā).
-            let mut hits = 0u64;
-            for _ in 0..t {
-                let rc = bernoulli(&self.xi, rng);
-                let rd = bernoulli(&self.xi, rng);
-                let x = rd
-                    && (rc || {
-                        let actual = query.eval(&sampler.sample(rng), tuple)?;
-                        actual != observed
-                    });
-                if x {
-                    hits += 1;
-                }
-            }
-            total_samples += t;
-            let mean = hits as f64 / t as f64;
-            let h_tuple = ((mean - xi * xi) / (xi - xi * xi)).clamp(0.0, 1.0);
-            h += h_tuple;
-        }
-        let reliability = 1.0 - h / nk as f64;
-        Ok(PtimeEstimate {
-            estimate: reliability,
-            samples: total_samples,
-            padded_mean: f64::NAN,
-        })
+        self.estimate_reliability_budgeted(
+            ud,
+            query,
+            eps,
+            delta,
+            &Budget::unlimited(),
+            rng.gen(),
+            1,
+        )
+        .map(PaddingOutcome::unwrap_complete)
     }
 }
 
-/// Outcome of a budgeted padding estimation.
+/// Outcome of a budgeted world-sampling estimation: the padding
+/// estimator or the direct sampler.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PaddingOutcome {
     Complete(PtimeEstimate),
     /// The budget tripped mid-sampling; `partial_estimate` is the
-    /// de-biased reliability over the worlds drawn so far (guarantee-free
-    /// but bounded in `[0, 1]`).
+    /// reliability over the worlds drawn so far (guarantee-free but
+    /// bounded in `[0, 1]`).
     Exhausted {
         partial_estimate: f64,
         samples: u64,
         cause: Exhausted,
     },
+}
+
+impl PaddingOutcome {
+    /// The report of a run under [`Budget::unlimited`], which cannot trip.
+    fn unwrap_complete(self) -> PtimeEstimate {
+        match self {
+            PaddingOutcome::Complete(rep) => rep,
+            PaddingOutcome::Exhausted { .. } => unreachable!("unlimited budget cannot trip"),
+        }
+    }
 }
 
 impl PaddingEstimator {
@@ -275,13 +247,13 @@ impl PaddingEstimator {
     /// and on a trip the partial per-tuple means are de-biased and
     /// returned instead of being discarded.
     ///
-    /// Unlike [`Self::estimate_reliability`], each sampled world is
-    /// evaluated *once* via [`Query::answers`] and reused for every
-    /// tuple. The per-tuple error estimators become correlated across
-    /// tuples, but each remains marginally a valid Lemma 5.11 estimator
-    /// and the union bound over per-tuple deviations does not require
-    /// independence — so the `(ε, δ)` guarantee is preserved while the
-    /// number of query evaluations drops from `n^k · t` to `t`.
+    /// The theorem's k-ary clause splits the budget per tuple (`ε/n^k`,
+    /// `δ/n^k`). Each sampled world is evaluated *once* and reused for
+    /// every tuple: the per-tuple error estimators become correlated
+    /// across tuples, but each remains marginally a valid Lemma 5.11
+    /// estimator and the union bound over per-tuple deviations does not
+    /// require independence — so the `(ε, δ)` guarantee holds with `t`
+    /// query evaluations instead of `n^k · t`.
     ///
     /// The sample count is cut into [`DEFAULT_SHARDS`] fixed pieces,
     /// each drawn on an independent seed-split RNG against its own child
@@ -390,13 +362,102 @@ impl PaddingEstimator {
     }
 }
 
+/// Direct Monte-Carlo reliability: sample worlds, count the per-world
+/// symmetric difference `|ψ^𝔄 Δ ψ^𝔅|/n^k ∈ [0, 1]`, and average. One
+/// world serves every tuple at once and the per-world statistic is
+/// already the normalized error, so a single Hoeffding bound on `t`
+/// samples gives `±ε` on the reliability itself — no per-tuple `ε/n^k`
+/// split, which is what makes this the solver's cheapest rung. The
+/// report's `padded_mean` is the mean normalized error.
+///
+/// Sharded like the padding estimator: the sample budget splits across
+/// [`DEFAULT_SHARDS`] seed-split workers, each charging one
+/// [`Resource::Samples`] per world to its own child of the
+/// [`Budget::split`] parent, and the *integer* symmetric-difference
+/// totals merge exactly, so the estimate never depends on the thread
+/// count.
+#[allow(clippy::too_many_arguments)]
+pub fn direct_reliability_budgeted(
+    ud: &UnreliableDatabase,
+    query: &(dyn Query + Sync),
+    eps: f64,
+    delta: f64,
+    budget: &Budget,
+    seed: u64,
+    threads: usize,
+) -> Result<PaddingOutcome, EvalError> {
+    let db = ud.observed();
+    let nk = db.universe().tuple_count(query.arity()).max(1);
+    let mut observed = Vec::new();
+    query.bind(db).answer_ranks(db, &mut observed)?;
+    let t = hoeffding_samples(eps, delta);
+    let counts = shard_counts(t, DEFAULT_SHARDS);
+
+    let (parts, cause) = run_settled(
+        budget.split(DEFAULT_SHARDS),
+        threads,
+        |child| budget.settle(child),
+        |s, child: &Budget| {
+            let mut rng = StdRng::seed_from_u64(split_seed(seed, s as u64));
+            let sampler = WorldSampler::new(ud);
+            let mut bound = query.bind(db);
+            let mut answers = Vec::new();
+            let mut diff_total = 0u64;
+            let mut drawn = 0u64;
+            let mut cause = None;
+            for _ in 0..counts[s] {
+                if let Err(e) = child.charge(Resource::Samples, 1) {
+                    cause = Some(e);
+                    break;
+                }
+                if let Err(e) = bound.answer_ranks(&sampler.sample(&mut rng), &mut answers) {
+                    return ((diff_total, drawn, Some(e)), cause);
+                }
+                diff_total += rank_difference(&answers, &observed) as u64;
+                drawn += 1;
+            }
+            ((diff_total, drawn, None), cause)
+        },
+    );
+    let mut diff_total = 0u64;
+    let mut drawn = 0u64;
+    let mut failure: Option<EvalError> = None;
+    for (part_diff, part_drawn, part_failure) in parts {
+        diff_total += part_diff;
+        drawn += part_drawn;
+        if failure.is_none() {
+            failure = part_failure;
+        }
+    }
+    if let Some(e) = failure {
+        return Err(e);
+    }
+    let mean = diff_total as f64 / nk as f64 / drawn.max(1) as f64;
+    let estimate = (1.0 - mean).clamp(0.0, 1.0);
+    Ok(match cause {
+        None => PaddingOutcome::Complete(PtimeEstimate {
+            estimate,
+            samples: drawn,
+            padded_mean: mean,
+        }),
+        Some(cause) => PaddingOutcome::Exhausted {
+            partial_estimate: estimate,
+            samples: drawn,
+            cause,
+        },
+    })
+}
+
 /// Baseline: estimate `ν(ψ)` by direct world sampling with the Hoeffding
 /// additive bound (no padding). Same guarantee as the theorem's
 /// construction, usually with far fewer samples — the experiments
-/// quantify the gap.
+/// quantify the gap. One seed drawn from `rng`, then
+/// [`direct_reliability_budgeted`] on one thread: its mean error
+/// indicator `[ψ^𝔅 ≠ ψ^𝔄]` is `ν(ψ)` or `1 − ν(ψ)` as `ψ^𝔄` is false
+/// or true.
 pub fn direct_probability<R: Rng>(
     ud: &UnreliableDatabase,
-    query: &dyn Query,
+    query: &(dyn Query + Sync),
     eps: f64,
     delta: f64,
     rng: &mut R,
@@ -406,19 +467,19 @@ pub fn direct_probability<R: Rng>(
         0,
         "direct_probability requires a Boolean query"
     );
-    let t = hoeffding_samples(eps, delta);
-    let sampler = WorldSampler::new(ud);
-    let mut hits = 0u64;
-    for _ in 0..t {
-        if query.eval(&sampler.sample(rng), &[])? {
-            hits += 1;
-        }
-    }
-    let mean = hits as f64 / t as f64;
+    let observed = query.eval_sentence(ud.observed())?;
+    let rep =
+        direct_reliability_budgeted(ud, query, eps, delta, &Budget::unlimited(), rng.gen(), 1)?
+            .unwrap_complete();
+    let nu = if observed {
+        1.0 - rep.padded_mean
+    } else {
+        rep.padded_mean
+    };
     Ok(PtimeEstimate {
-        estimate: mean,
-        samples: t,
-        padded_mean: mean,
+        estimate: nu,
+        samples: rep.samples,
+        padded_mean: nu,
     })
 }
 
@@ -429,7 +490,6 @@ mod tests {
     use qrel_db::{DatabaseBuilder, Fact};
     use qrel_eval::{DatalogQuery, FoQuery};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn r(n: i64, d: u64) -> BigRational {
         BigRational::from_ratio(n, d)
@@ -517,12 +577,13 @@ mod tests {
             "estimate {} vs exact {exact}",
             rep.estimate
         );
-        // The shared variant evaluates the query t times total, not n^k·t.
+        // The serial entry shares worlds too: it evaluates the query t
+        // times total, not n^k·t.
         let mut rng = StdRng::seed_from_u64(18);
-        let per_tuple = est
+        let serial = est
             .estimate_reliability(&ud, &q, 0.15, 0.1, &mut rng)
             .unwrap();
-        assert!(rep.samples < per_tuple.samples);
+        assert_eq!(serial.samples, rep.samples);
     }
 
     #[test]
@@ -687,6 +748,100 @@ mod tests {
         assert_eq!(capped.estimate.to_bits(), plain.estimate.to_bits());
         assert_eq!(capped.samples, plain.samples);
         assert_eq!(budget.spent(Resource::Samples), plain.samples);
+    }
+
+    /// `StdRng::seed_from_u64(s).gen::<u64>()`: the seed a serial entry
+    /// point draws from a fresh `StdRng::seed_from_u64(s)`.
+    fn drawn_seed(s: u64) -> u64 {
+        StdRng::seed_from_u64(s).gen()
+    }
+
+    #[test]
+    fn serial_probability_is_the_sharded_run_at_a_drawn_seed() {
+        let ud = setup();
+        let q = FoQuery::parse("exists x y. E(x,y)").unwrap();
+        let est = PaddingEstimator::default_xi();
+        for s in [0u64, 7] {
+            let serial = est
+                .estimate_probability(&ud, &q, 0.2, 0.1, &mut StdRng::seed_from_u64(s))
+                .unwrap();
+            for threads in [1usize, 4] {
+                let prod = est
+                    .estimate_probability_sharded(&ud, &q, 0.2, 0.1, drawn_seed(s), threads)
+                    .unwrap();
+                assert_eq!(prod.estimate.to_bits(), serial.estimate.to_bits());
+                assert_eq!(prod.padded_mean.to_bits(), serial.padded_mean.to_bits());
+                assert_eq!(prod.samples, serial.samples);
+            }
+        }
+    }
+
+    #[test]
+    fn serial_reliability_is_the_budgeted_run_at_a_drawn_seed() {
+        let ud = setup();
+        let q = FoQuery::parse("exists y. E(x,y)").unwrap();
+        let est = PaddingEstimator::default_xi();
+        for s in [0u64, 7] {
+            let serial = est
+                .estimate_reliability(&ud, &q, 0.3, 0.2, &mut StdRng::seed_from_u64(s))
+                .unwrap();
+            for threads in [1usize, 4] {
+                let budget = Budget::unlimited();
+                let prod = match est
+                    .estimate_reliability_budgeted(
+                        &ud,
+                        &q,
+                        0.3,
+                        0.2,
+                        &budget,
+                        drawn_seed(s),
+                        threads,
+                    )
+                    .unwrap()
+                {
+                    PaddingOutcome::Complete(rep) => rep,
+                    other => panic!("expected Complete, got {other:?}"),
+                };
+                assert_eq!(prod.estimate.to_bits(), serial.estimate.to_bits());
+                assert_eq!(prod.samples, serial.samples);
+            }
+        }
+    }
+
+    #[test]
+    fn direct_probability_is_the_direct_sampler_at_a_drawn_seed() {
+        // ψ holds on the observed database, so its mean error indicator
+        // [ψ^𝔅 ≠ ψ^𝔄] estimates 1 − ν(ψ).
+        let ud = setup();
+        let q = FoQuery::parse("exists x y. E(x,y)").unwrap();
+        assert!(q.eval_sentence(ud.observed()).unwrap());
+        for s in [0u64, 9] {
+            let serial =
+                direct_probability(&ud, &q, 0.05, 0.05, &mut StdRng::seed_from_u64(s)).unwrap();
+            for threads in [1usize, 4] {
+                let budget = Budget::unlimited();
+                let prod = match direct_reliability_budgeted(
+                    &ud,
+                    &q,
+                    0.05,
+                    0.05,
+                    &budget,
+                    drawn_seed(s),
+                    threads,
+                )
+                .unwrap()
+                {
+                    PaddingOutcome::Complete(rep) => rep,
+                    other => panic!("expected Complete, got {other:?}"),
+                };
+                assert_eq!(
+                    serial.estimate.to_bits(),
+                    (1.0 - prod.padded_mean).to_bits()
+                );
+                assert_eq!(serial.samples, prod.samples);
+                assert_eq!(budget.spent(Resource::Samples), prod.samples);
+            }
+        }
     }
 
     #[test]

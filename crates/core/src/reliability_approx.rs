@@ -13,10 +13,7 @@
 //! `1 − δ/n^k`, sum, and a union bound gives `|R̂ − R_ψ| ≤ ε` with
 //! probability `≥ 1 − δ`.
 
-use crate::existential::{
-    estimate_grounding, ground_with_probabilities, ground_with_probabilities_budgeted, Route,
-    DEFAULT_MAX_TERMS,
-};
+use crate::existential::{ground_with_probabilities_budgeted, DEFAULT_MAX_TERMS};
 use qrel_budget::{Budget, Exhausted, QrelError};
 use qrel_count::KarpLuby;
 use qrel_eval::eval_formula;
@@ -38,7 +35,9 @@ pub struct ApproxReport {
 }
 
 /// Estimate the reliability of an existential **or universal** query with
-/// absolute error `ε` at confidence `1 − δ`.
+/// absolute error `ε` at confidence `1 − δ`: one seed drawn from `rng`,
+/// then [`approximate_reliability_budgeted`] on one thread under
+/// [`Budget::unlimited`].
 ///
 /// `free_vars` fixes the tuple order for k-ary queries (pass `&[]` for
 /// sentences).
@@ -48,53 +47,21 @@ pub fn approximate_reliability<R: Rng>(
     free_vars: &[String],
     eps: f64,
     delta: f64,
-    route: Route,
     rng: &mut R,
 ) -> Result<ApproxReport, QrelError> {
-    {
-        let mut sorted = free_vars.to_vec();
-        sorted.sort();
-        assert_eq!(sorted, formula.free_vars(), "free-variable order mismatch");
+    match approximate_reliability_budgeted(
+        ud,
+        formula,
+        free_vars,
+        eps,
+        delta,
+        &Budget::unlimited(),
+        rng.gen(),
+        1,
+    )? {
+        ApproxOutcome::Complete(report) => Ok(report),
+        ApproxOutcome::Exhausted { .. } => unreachable!("unlimited budget cannot trip"),
     }
-    // Universal queries: estimate via the existential negation.
-    let (work_formula, flipped) = match formula.fragment() {
-        Fragment::Universal => (Formula::not(formula.clone()).to_nnf(), true),
-        _ => (formula.clone(), false),
-    };
-
-    let db = ud.observed();
-    let k = free_vars.len();
-    let tuples: Vec<Vec<u32>> = db.universe().tuples(k).collect();
-    let nk = tuples.len().max(1);
-    let per_eps = eps / nk as f64;
-    let per_delta = (delta / nk as f64).min(0.5);
-
-    let mut h = 0.0f64;
-    for tuple in &tuples {
-        let bindings: HashMap<String, u32> = free_vars
-            .iter()
-            .cloned()
-            .zip(tuple.iter().copied())
-            .collect();
-        // ν̂(ψ(ā)) for the (possibly negated) existential formula.
-        let (grounding, probs) =
-            ground_with_probabilities(ud, &work_formula, &bindings, DEFAULT_MAX_TERMS)?;
-        let nu_hat =
-            estimate_grounding(&grounding, &probs, per_eps.max(1e-9), per_delta, route, rng)?;
-        // Truth on the observed database, for the H = ν vs 1−ν split.
-        let observed = eval_formula(db, formula, &bindings)?;
-        // ν̂ refers to work_formula; convert to ν(ψ(ā)).
-        let nu_psi = if flipped { 1.0 - nu_hat } else { nu_hat };
-        let h_tuple = if observed { 1.0 - nu_psi } else { nu_psi };
-        h += h_tuple.clamp(0.0, 1.0);
-    }
-
-    let reliability = 1.0 - h / nk as f64;
-    Ok(ApproxReport {
-        expected_error: h,
-        reliability,
-        tuples: nk,
-    })
 }
 
 /// Outcome of a budgeted Corollary 5.5 estimation.
@@ -113,8 +80,8 @@ pub enum ApproxOutcome {
     },
 }
 
-/// [`approximate_reliability`] under a cooperative [`Budget`], always
-/// via the direct Karp–Luby route. Grounding charges
+/// [`approximate_reliability`] under a cooperative [`Budget`], via the
+/// direct Karp–Luby route. Grounding charges
 /// [`qrel_budget::Resource::Terms`], sampling charges
 /// [`qrel_budget::Resource::Samples`]; on a trip the tuples estimated so
 /// far are returned instead of being discarded.
@@ -247,8 +214,7 @@ mod tests {
         let exact =
             exact_reliability(&ud, &FoQuery::with_free_order(f.clone(), free.clone())).unwrap();
         let mut rng = StdRng::seed_from_u64(99);
-        let approx =
-            approximate_reliability(&ud, &f, &free, 0.05, 0.05, Route::Direct, &mut rng).unwrap();
+        let approx = approximate_reliability(&ud, &f, &free, 0.05, 0.05, &mut rng).unwrap();
         let exact_rel = exact.reliability.to_f64();
         assert!(
             (approx.reliability - exact_rel).abs() <= 0.05,
@@ -275,7 +241,7 @@ mod tests {
         let ud = setup();
         let f = parse_formula("forall x. S(x) | exists y. E(x,y)").unwrap();
         let mut rng = StdRng::seed_from_u64(6);
-        assert!(approximate_reliability(&ud, &f, &[], 0.1, 0.1, Route::Direct, &mut rng).is_err());
+        assert!(approximate_reliability(&ud, &f, &[], 0.1, 0.1, &mut rng).is_err());
     }
 
     #[test]
@@ -289,8 +255,7 @@ mod tests {
         let f = parse_formula("exists z. E(x,z) & E(z,y)").unwrap();
         let free = vec!["x".to_string(), "y".to_string()];
         let mut rng = StdRng::seed_from_u64(3);
-        let rep =
-            approximate_reliability(&ud, &f, &free, 0.1, 0.1, Route::Direct, &mut rng).unwrap();
+        let rep = approximate_reliability(&ud, &f, &free, 0.1, 0.1, &mut rng).unwrap();
         assert_eq!(rep.tuples, 9);
         let exact = exact_reliability(&ud, &FoQuery::with_free_order(f, free)).unwrap();
         assert!((rep.reliability - exact.reliability.to_f64()).abs() <= 0.1);
@@ -306,8 +271,7 @@ mod tests {
         let ud = UnreliableDatabase::reliable(db);
         let f = parse_formula("exists x. S(x)").unwrap();
         let mut rng = StdRng::seed_from_u64(4);
-        let rep =
-            approximate_reliability(&ud, &f, &[], 0.01, 0.01, Route::Direct, &mut rng).unwrap();
+        let rep = approximate_reliability(&ud, &f, &[], 0.01, 0.01, &mut rng).unwrap();
         assert_eq!(rep.reliability, 1.0);
         assert_eq!(rep.expected_error, 0.0);
     }
@@ -340,6 +304,37 @@ mod tests {
         }
         for threads in [2usize, 4] {
             assert_eq!(run(threads), base);
+        }
+    }
+
+    #[test]
+    fn serial_is_the_budgeted_run_at_a_drawn_seed() {
+        use rand::Rng;
+        let ud = setup();
+        let f = parse_formula("exists y. E(x,y) & S(y)").unwrap();
+        let free = vec!["x".to_string()];
+        for s in [0u64, 5] {
+            let serial =
+                approximate_reliability(&ud, &f, &free, 0.2, 0.2, &mut StdRng::seed_from_u64(s))
+                    .unwrap();
+            let seed = StdRng::seed_from_u64(s).gen::<u64>();
+            for threads in [1usize, 4] {
+                let budget = Budget::unlimited();
+                let prod = match approximate_reliability_budgeted(
+                    &ud, &f, &free, 0.2, 0.2, &budget, seed, threads,
+                )
+                .unwrap()
+                {
+                    ApproxOutcome::Complete(rep) => rep,
+                    other => panic!("expected Complete, got {other:?}"),
+                };
+                assert_eq!(prod.reliability.to_bits(), serial.reliability.to_bits());
+                assert_eq!(
+                    prod.expected_error.to_bits(),
+                    serial.expected_error.to_bits()
+                );
+                assert_eq!(prod.tuples, serial.tuples);
+            }
         }
     }
 
@@ -381,6 +376,6 @@ mod tests {
         let ud = setup();
         let f = parse_formula("exists y. E(x,y)").unwrap();
         let mut rng = StdRng::seed_from_u64(5);
-        let _ = approximate_reliability(&ud, &f, &[], 0.1, 0.1, Route::Direct, &mut rng);
+        let _ = approximate_reliability(&ud, &f, &[], 0.1, 0.1, &mut rng);
     }
 }

@@ -162,30 +162,20 @@ impl KarpLuby {
         zero_one_estimator_samples(self.terms.len().max(1) as f64, eps, delta)
     }
 
-    /// Run the estimator with an explicit sample count.
+    /// Run the estimator with an explicit sample count: one seed drawn
+    /// from `rng`, then [`Self::run_budgeted`] on one thread under
+    /// [`Budget::unlimited`].
     ///
     /// # Panics
     /// Panics if `samples == 0` (the mean of zero samples is undefined);
     /// trivial formulas short-circuit before the check.
     pub fn run_with_samples<R: Rng>(&self, samples: u64, rng: &mut R) -> KarpLubyReport {
-        if let Some(report) = self.trivial() {
-            return report;
-        }
-        assert!(samples > 0, "Karp-Luby needs at least one sample");
-        let u = *self.cumulative.last().unwrap();
-        let mut hits = 0u64;
-        let mut assignment = vec![0u64; self.packed.num_words()];
-        for _ in 0..samples {
-            if self.sample_once(u, &mut assignment, rng) {
-                hits += 1;
-            }
-        }
-        let hit_rate = hits as f64 / samples as f64;
-        KarpLubyReport {
-            estimate: self.total_weight.to_f64() * hit_rate,
-            samples,
-            hit_rate,
-        }
+        assert!(
+            samples > 0 || self.trivial().is_some(),
+            "Karp-Luby needs at least one sample"
+        );
+        self.run_budgeted(samples, &Budget::unlimited(), rng.gen(), 1)
+            .0
     }
 
     /// The exact report for formulas that need no sampling: no term at
@@ -538,6 +528,29 @@ mod tests {
             assert_eq!(par.estimate.to_bits(), serial.estimate.to_bits());
             assert_eq!(par.hit_rate.to_bits(), serial.hit_rate.to_bits());
             assert_eq!(par.samples, serial.samples);
+        }
+    }
+
+    #[test]
+    fn serial_run_is_the_budgeted_run_at_a_drawn_seed() {
+        use qrel_budget::Budget;
+        let d = Dnf::from_terms([
+            vec![Lit::pos(0), Lit::neg(1)],
+            vec![Lit::pos(2)],
+            vec![Lit::neg(0), Lit::pos(3)],
+        ]);
+        let probs = vec![r(1, 3), r(1, 2), r(1, 5), r(2, 7)];
+        let kl = KarpLuby::new(&d, &probs);
+        for s in [0u64, 1, 42] {
+            let serial = kl.run_with_samples(3_000, &mut StdRng::seed_from_u64(s));
+            let seed = StdRng::seed_from_u64(s).gen::<u64>();
+            for threads in [1usize, 4] {
+                let (prod, exhausted) = kl.run_budgeted(3_000, &Budget::unlimited(), seed, threads);
+                assert!(exhausted.is_none());
+                assert_eq!(prod.estimate.to_bits(), serial.estimate.to_bits());
+                assert_eq!(prod.hit_rate.to_bits(), serial.hit_rate.to_bits());
+                assert_eq!(prod.samples, serial.samples);
+            }
         }
     }
 

@@ -13,7 +13,9 @@ use qrel_par::{run_shards, shard_counts, split_seed, DEFAULT_SHARDS};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Estimate `Pr[φ]` by naive sampling with an explicit sample count.
+/// Estimate `Pr[φ]` by naive sampling with an explicit sample count:
+/// one seed drawn from `rng`, then [`naive_mc_probability_sharded`] on
+/// one thread.
 ///
 /// # Panics
 /// Panics if `samples == 0`: the mean of zero samples is undefined, and
@@ -25,27 +27,7 @@ pub fn naive_mc_probability_with_samples<R: Rng>(
     samples: u64,
     rng: &mut R,
 ) -> f64 {
-    assert!(
-        dnf.var_bound() <= probs.len(),
-        "probability vector does not cover all variables"
-    );
-    assert!(samples > 0, "naive MC needs at least one sample");
-    let pf: Vec<f64> = probs.iter().map(|p| p.to_f64()).collect();
-    // Packed assignments: the term scan is lane-masked (64 vars per
-    // word); the per-variable RNG draw order is unchanged, so estimates
-    // are bit-identical to the historical Vec<bool> path.
-    let packed = PackedDnf::new(dnf, pf.len());
-    let mut hits = 0u64;
-    let mut assignment = vec![0u64; packed.num_words()];
-    for _ in 0..samples {
-        for (v, p) in pf.iter().enumerate() {
-            PackedDnf::set_bit(&mut assignment, v, rng.gen::<f64>() < *p);
-        }
-        if packed.eval_words(&assignment) {
-            hits += 1;
-        }
-    }
-    hits as f64 / samples as f64
+    naive_mc_probability_sharded(dnf, probs, samples, rng.gen(), 1)
 }
 
 /// Sharded deterministic naive MC: the sample count is cut into
@@ -145,6 +127,22 @@ mod tests {
             assert_eq!(par.to_bits(), serial.to_bits());
         }
         assert!((serial - exact).abs() < 0.02, "est {serial} vs {exact}");
+    }
+
+    #[test]
+    fn serial_is_the_sharded_run_at_a_drawn_seed() {
+        use rand::Rng;
+        let d = Dnf::from_terms([vec![Lit::pos(0)], vec![Lit::pos(1), Lit::neg(2)]]);
+        let probs = vec![r(1, 3), r(1, 2), r(1, 4)];
+        for s in [0u64, 1, 42] {
+            let serial =
+                naive_mc_probability_with_samples(&d, &probs, 3_000, &mut StdRng::seed_from_u64(s));
+            let seed = StdRng::seed_from_u64(s).gen::<u64>();
+            for threads in [1usize, 4] {
+                let prod = naive_mc_probability_sharded(&d, &probs, 3_000, seed, threads);
+                assert_eq!(prod.to_bits(), serial.to_bits());
+            }
+        }
     }
 
     #[test]

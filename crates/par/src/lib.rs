@@ -92,12 +92,8 @@ pub fn resolve_threads(explicit: Option<usize>) -> usize {
 }
 
 /// Run `job(shard)` for every shard in `0..shards` on up to `threads`
-/// workers and return the results in shard order.
-///
-/// Workers take shards by striding (`worker w` runs shards
-/// `w, w+threads, …`), but since each shard is self-contained the
-/// assignment is irrelevant to the output. With `threads <= 1` the
-/// shards run inline on the caller's thread — same results, no spawn.
+/// workers and return the results in shard order: [`run_shards_with`]
+/// over unit contexts.
 ///
 /// # Panics
 /// Panics if `shards == 0` or if a worker panics (the panic is
@@ -107,49 +103,18 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    assert!(shards > 0, "need at least one shard");
-    let threads = threads.max(1).min(shards);
-    // Chaos hook: stall individual shards. Keyed by shard index, so the
-    // same (seed, plan) stalls the same shards under any thread count —
-    // a stall delays a shard's identical result, it never changes it.
-    let job = |s: usize| {
-        if qrel_faults::armed() {
-            qrel_faults::stall_at(qrel_faults::points::PAR_SHARD_STALL, s as u64);
-        }
-        job(s)
-    };
-    if threads == 1 {
-        return (0..shards).map(job).collect();
-    }
-    let mut out: Vec<Option<T>> = Vec::with_capacity(shards);
-    out.resize_with(shards, || None);
-    std::thread::scope(|scope| {
-        let job = &job;
-        let handles: Vec<_> = (0..threads)
-            .map(|w| {
-                scope.spawn(move || {
-                    (w..shards)
-                        .step_by(threads)
-                        .map(|s| (s, job(s)))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            for (s, t) in h.join().expect("shard worker panicked") {
-                out[s] = Some(t);
-            }
-        }
-    });
-    out.into_iter()
-        .map(|t| t.expect("all shards completed"))
-        .collect()
+    run_shards_with(vec![(); shards], threads, |s, ()| job(s))
 }
 
 /// [`run_shards`] with an owned, `Send`-but-not-`Sync` context per shard
 /// (a child `qrel_budget::Budget` is the motivating case): shard `s`
 /// consumes `contexts[s]`. The context is returned to the caller as part
 /// of the job's result if it needs settling.
+///
+/// Workers take shards by striding (`worker w` runs shards
+/// `w, w+threads, …`), but since each shard is self-contained the
+/// assignment is irrelevant to the output. With `threads <= 1` the
+/// shards run inline on the caller's thread — same results, no spawn.
 ///
 /// # Panics
 /// Panics if `contexts` is empty or a worker panics.
@@ -162,7 +127,9 @@ where
     let shards = contexts.len();
     assert!(shards > 0, "need at least one shard");
     let threads = threads.max(1).min(shards);
-    // Same shard-indexed stall hook as `run_shards`.
+    // Chaos hook: stall individual shards. Keyed by shard index, so the
+    // same (seed, plan) stalls the same shards under any thread count —
+    // a stall delays a shard's identical result, it never changes it.
     let job = |s: usize, c: C| {
         if qrel_faults::armed() {
             qrel_faults::stall_at(qrel_faults::points::PAR_SHARD_STALL, s as u64);

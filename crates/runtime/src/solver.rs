@@ -7,16 +7,14 @@ use std::time::Duration;
 use qrel_arith::BigRational;
 use qrel_budget::{Budget, Exhausted, QrelError, Resource};
 use qrel_core::{
-    approximate_reliability_budgeted, exact_reliability_budgeted, qf_reliability_budgeted,
-    ApproxOutcome, ExactOutcome, PaddingEstimator, PaddingOutcome, QfOutcome,
+    approximate_reliability_budgeted, direct_reliability_budgeted, exact_reliability_budgeted,
+    qf_reliability_budgeted, ApproxOutcome, ExactOutcome, PaddingEstimator, PaddingOutcome,
+    QfOutcome,
 };
-use qrel_count::bounds::hoeffding_samples;
-use qrel_eval::{rank_difference, FoQuery, Query};
+use qrel_eval::{FoQuery, Query};
 use qrel_logic::Fragment;
-use qrel_par::{resolve_threads, run_settled, shard_counts, split_seed, DEFAULT_SHARDS};
-use qrel_prob::{UnreliableDatabase, WorldSampler};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use qrel_par::{resolve_threads, split_seed};
+use qrel_prob::UnreliableDatabase;
 use std::sync::Arc;
 
 use crate::report::{Confidence, Method, SolveReport, TraceStep};
@@ -602,42 +600,15 @@ impl Solver {
         seed: u64,
         threads: usize,
     ) -> Result<Rung, QrelError> {
-        let est = PaddingEstimator::default_xi();
-        match est
-            .estimate_reliability_budgeted(ud, query, self.eps, self.delta, budget, seed, threads)?
-        {
-            PaddingOutcome::Complete(rep) => {
-                let note = format!(
-                    "completed with (ε={}, δ={}) guarantee ({} worlds)",
-                    self.eps, self.delta, rep.samples
-                );
-                Ok(Rung::Done(
-                    Answer::sampled(rep.estimate, self.eps, self.delta),
-                    note,
-                ))
-            }
-            PaddingOutcome::Exhausted {
-                partial_estimate,
-                samples,
-                cause,
-            } => {
-                let answer = (samples > 0).then(|| Answer::partial(partial_estimate, None, &cause));
-                Ok(Rung::Degraded(answer, cause))
-            }
-        }
+        let outcome = PaddingEstimator::default_xi().estimate_reliability_budgeted(
+            ud, query, self.eps, self.delta, budget, seed, threads,
+        )?;
+        Ok(self.sampled(outcome, "guarantee"))
     }
 
-    /// Direct Monte-Carlo: sample worlds, count the per-world symmetric
-    /// difference `|ψ^𝔄 Δ ψ^𝔅|/n^k ∈ [0, 1]`, and average. One world
-    /// serves every tuple at once and the per-world statistic is already
-    /// the normalized error, so a single Hoeffding bound on `t` samples
-    /// gives `±ε` on the reliability itself — no per-tuple `ε/n^k`
-    /// split, which is what makes this the cheapest rung.
-    ///
-    /// Sharded like the other sampling rungs: the sample budget splits
-    /// across [`DEFAULT_SHARDS`] seed-split workers and the *integer*
-    /// symmetric-difference totals merge exactly, so the estimate never
-    /// depends on the thread count.
+    /// Direct Monte-Carlo ([`direct_reliability_budgeted`]): one sampled
+    /// world serves every tuple, so a single Hoeffding bound covers the
+    /// reliability itself — the cheapest rung.
     fn run_naive_mc(
         &self,
         ud: &UnreliableDatabase,
@@ -646,65 +617,29 @@ impl Solver {
         seed: u64,
         threads: usize,
     ) -> Result<Rung, QrelError> {
-        let db = ud.observed();
-        let nk = db.universe().tuple_count(query.arity()).max(1);
-        let mut observed = Vec::new();
-        query.bind(db).answer_ranks(db, &mut observed)?;
-        let t = hoeffding_samples(self.eps, self.delta);
-        let counts = shard_counts(t, DEFAULT_SHARDS);
+        let outcome =
+            direct_reliability_budgeted(ud, query, self.eps, self.delta, budget, seed, threads)?;
+        Ok(self.sampled(outcome, "Hoeffding guarantee"))
+    }
 
-        let (parts, cause) = run_settled(
-            budget.split(DEFAULT_SHARDS),
-            threads,
-            |child| budget.settle(child),
-            |s, child: &Budget| {
-                let mut rng = StdRng::seed_from_u64(split_seed(seed, s as u64));
-                let sampler = WorldSampler::new(ud);
-                let mut bound = query.bind(db);
-                let mut answers = Vec::new();
-                let mut diff_total = 0u64;
-                let mut drawn = 0u64;
-                let mut cause = None;
-                for _ in 0..counts[s] {
-                    if let Err(e) = child.charge(Resource::Samples, 1) {
-                        cause = Some(e);
-                        break;
-                    }
-                    if let Err(e) = bound.answer_ranks(&sampler.sample(&mut rng), &mut answers) {
-                        return ((diff_total, drawn, Some(e)), cause);
-                    }
-                    diff_total += rank_difference(&answers, &observed) as u64;
-                    drawn += 1;
-                }
-                ((diff_total, drawn, None), cause)
-            },
-        );
-        let mut diff_total = 0u64;
-        let mut drawn = 0u64;
-        let mut failure: Option<qrel_eval::EvalError> = None;
-        for (part_diff, part_drawn, part_failure) in parts {
-            diff_total += part_diff;
-            drawn += part_drawn;
-            if failure.is_none() {
-                failure = part_failure;
-            }
-        }
-        if let Some(e) = failure {
-            return Err(e.into());
-        }
-        let mean = diff_total as f64 / nk as f64 / drawn.max(1) as f64;
-        let estimate = (1.0 - mean).clamp(0.0, 1.0);
-        match cause {
-            None => Ok(Rung::Done(
-                Answer::sampled(estimate, self.eps, self.delta),
+    /// A world-sampling rung's result; `guarantee` names the bound in the
+    /// completion note.
+    fn sampled(&self, outcome: PaddingOutcome, guarantee: &str) -> Rung {
+        match outcome {
+            PaddingOutcome::Complete(rep) => Rung::Done(
+                Answer::sampled(rep.estimate, self.eps, self.delta),
                 format!(
-                    "completed with (ε={}, δ={}) Hoeffding guarantee ({drawn} worlds)",
-                    self.eps, self.delta
+                    "completed with (ε={}, δ={}) {guarantee} ({} worlds)",
+                    self.eps, self.delta, rep.samples
                 ),
-            )),
-            Some(cause) => {
-                let answer = (drawn > 0).then(|| Answer::partial(estimate, None, &cause));
-                Ok(Rung::Degraded(answer, cause))
+            ),
+            PaddingOutcome::Exhausted {
+                partial_estimate,
+                samples,
+                cause,
+            } => {
+                let answer = (samples > 0).then(|| Answer::partial(partial_estimate, None, &cause));
+                Rung::Degraded(answer, cause)
             }
         }
     }

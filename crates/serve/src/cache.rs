@@ -62,17 +62,9 @@ pub fn canonical_f64_bits(x: f64) -> u64 {
 }
 
 /// Stable 64-bit FNV-1a, used for shard selection, the coalesce
-/// fingerprint, and entry checksums (std's `DefaultHasher` is explicitly
-/// unspecified across releases; cache keys must hash identically
-/// forever so that recorded experiments stay reproducible).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+/// fingerprint, and entry checksums: the store's db-hash function, so
+/// cache keys hash identically forever.
+pub use qrel_store::hash::fnv1a;
 
 impl CacheKey {
     /// Stable 64-bit fingerprint over every field. The scheduler uses

@@ -74,7 +74,7 @@ fn as_u64(v: &Value) -> Option<u64> {
 /// back verbatim in a `400` response.
 pub fn parse_solve_request(body: &[u8], limits: ParseLimits) -> Result<SolveRequest, String> {
     let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())?;
-    let value: Value =
+    let mut value: Value =
         serde_json::from_str_with_limits(text, limits).map_err(|e| format!("bad JSON: {e}"))?;
     let obj = value
         .as_object()
@@ -109,9 +109,20 @@ pub fn parse_solve_request(body: &[u8], limits: ParseLimits) -> Result<SolveRequ
                 .ok_or_else(|| "\"dataset\" must be a string".to_string())?;
             DbRef::Named(name.to_string())
         }
-        (None, Some(spec)) => {
-            let spec: UnreliableDatabaseSpec = serde_json::from_value(spec.clone())
-                .map_err(|e| format!("bad \"db\" spec: {e}"))?;
+        (None, Some(_)) => {
+            // Move the (large) spec out of the tree rather than copy it;
+            // the last "db" key wins, as in `Value::get`.
+            let Value::Object(pairs) = &mut value else {
+                unreachable!("checked to be an object above")
+            };
+            let (_, spec) = pairs
+                .iter_mut()
+                .rev()
+                .find(|(k, _)| k == "db")
+                .expect("\"db\" is present");
+            let spec: UnreliableDatabaseSpec =
+                serde_json::from_value(std::mem::replace(spec, Value::Null))
+                    .map_err(|e| format!("bad \"db\" spec: {e}"))?;
             DbRef::Inline(Box::new(spec))
         }
         (None, None) => return Err("missing \"dataset\" or \"db\"".into()),

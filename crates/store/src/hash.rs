@@ -29,9 +29,11 @@
 use qrel_db::Fact;
 use qrel_prob::UnreliableDatabase;
 
-/// FNV-1a over `bytes` (same constants as the serve cache's hasher —
-/// stable forever, recorded hashes must replay).
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// Stable 64-bit FNV-1a over `bytes`: the db-hash's per-fact hasher
+/// and the serve cache's key, fingerprint and checksum hash. Unlike
+/// std's `DefaultHasher` it is fixed forever, so persisted and recorded
+/// hashes replay.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= u64::from(b);
@@ -40,8 +42,10 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// SplitMix64 finalizer: full-avalanche mixing so XOR-combining many
-/// per-fact hashes does not cancel structure.
+/// SplitMix64-style finalizer: full-avalanche mixing so XOR-combining
+/// many per-fact hashes does not cancel structure. Its first multiplier
+/// is `0xbf58_476d_1ce4_e9b5`, not SplitMix64's `…e5b9`; db-hashes are
+/// persisted, so the constant stays.
 fn mix64(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e9b5);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

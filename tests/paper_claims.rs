@@ -134,7 +134,7 @@ fn thm_5_4_cor_5_5_reliability_estimate() {
         .reliability
         .to_f64();
     let mut rng = StdRng::seed_from_u64(54);
-    let rep = approximate_reliability(&ud, &f, &free, 0.1, 0.1, Route::Direct, &mut rng).unwrap();
+    let rep = approximate_reliability(&ud, &f, &free, 0.1, 0.1, &mut rng).unwrap();
     assert!((rep.reliability - exact).abs() <= 0.1);
 }
 
