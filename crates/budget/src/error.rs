@@ -13,7 +13,7 @@ use std::fmt;
 /// swallowed silently.
 ///
 /// Conversions from the concrete error types of the solver crates
-/// (`EvalError`, `GroundError`, `SpecError`, ...) live next to those
+/// (`EvalError`, `GroundError`, `ModelError`, ...) live next to those
 /// types; this crate stays dependency-free at the bottom of the
 /// workspace, so the variants carry rendered messages rather than the
 /// source enums.

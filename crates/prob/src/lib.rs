@@ -15,7 +15,8 @@
 //! This crate implements the model exactly (rational arithmetic
 //! end-to-end):
 //!
-//! * [`UnreliableDatabase`] — the pair `(𝔄, μ)` with validation,
+//! * [`UnreliableDatabase`] — the pair `(𝔄, μ)`, built row by row
+//!   ([`UnreliableDatabase::from_rows`]) through the one [`FactRule`],
 //!   including de Rougemont's positive-only restricted model;
 //! * [`WorldIter`]/[`WorldWalk`]/[`world`] — exact enumeration of the
 //!   possible worlds that have nonzero probability, with their exact
@@ -32,7 +33,7 @@ pub mod sampler;
 pub mod spec;
 pub mod world;
 
-pub use model::{ErrorModel, ModelError, UnreliableDatabase};
+pub use model::{ErrorModel, FactRow, FactRule, ModelError, UnreliableDatabase};
 pub use sampler::WorldSampler;
-pub use spec::{ErrorSpec, SpecError, UnreliableDatabaseSpec};
+pub use spec::{ErrorSpec, UnreliableDatabaseSpec};
 pub use world::{WorldIter, WorldWalk};

@@ -1,7 +1,9 @@
-//! The pair `𝔇 = (𝔄, μ)` and the induced fact probabilities `ν`.
+//! The pair `𝔇 = (𝔄, μ)`, the induced fact probabilities `ν`, and the
+//! one fact rule every dataset source builds `𝔇` through.
 
 use qrel_arith::BigRational;
 use qrel_db::{Database, Fact, FactIndexer};
+use qrel_logic::Vocabulary;
 use std::fmt;
 
 /// Which facts are allowed to carry positive error probability.
@@ -16,9 +18,49 @@ pub enum ErrorModel {
     PositiveOnly,
 }
 
-/// Validation errors for unreliable databases.
+/// The one table of model names, as specs and store manifests spell
+/// them, in discriminant order.
+const MODEL_NAMES: [(ErrorModel, &str); 2] = [
+    (ErrorModel::Full, "full"),
+    (ErrorModel::PositiveOnly, "positive-only"),
+];
+
+impl ErrorModel {
+    /// The model's name in specs and manifests.
+    pub fn name(self) -> &'static str {
+        MODEL_NAMES[self as usize].1
+    }
+
+    /// The model a spec or manifest names.
+    pub fn parse(name: &str) -> Result<ErrorModel, ModelError> {
+        MODEL_NAMES
+            .iter()
+            .find(|(_, n)| *n == name)
+            .map(|(m, _)| *m)
+            .ok_or_else(|| ModelError::UnknownModel(name.to_string()))
+    }
+}
+
+/// Why a fact row, or a whole dataset, is not an unreliable database.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ModelError {
+    /// A model name other than `"full"` or `"positive-only"`.
+    UnknownModel(String),
+    /// A relation the vocabulary does not declare.
+    UnknownRelation(String),
+    ArityMismatch {
+        relation: String,
+        expected: usize,
+        got: usize,
+    },
+    /// A tuple element `≥ |A|`.
+    ElementOutOfRange { relation: String, element: u32 },
+    /// An error probability that does not parse as a rational.
+    BadProbability {
+        fact: String,
+        mu: String,
+        reason: String,
+    },
     /// An error probability outside `[0, 1]`.
     NotAProbability { fact: String, value: String },
     /// Positive-only model violated: error probability on a negative fact.
@@ -28,6 +70,25 @@ pub enum ModelError {
 impl fmt::Display for ModelError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            ModelError::UnknownModel(m) => {
+                let names: Vec<_> = MODEL_NAMES.iter().map(|(_, n)| format!("{n:?}")).collect();
+                write!(f, "unknown model {m:?} (use {})", names.join(" or "))
+            }
+            ModelError::UnknownRelation(r) => write!(f, "unknown relation {r:?}"),
+            ModelError::ArityMismatch {
+                relation,
+                expected,
+                got,
+            } => write!(
+                f,
+                "relation {relation:?} expects arity {expected}, got {got}"
+            ),
+            ModelError::ElementOutOfRange { relation, element } => {
+                write!(f, "element {element} out of range in a {relation:?} tuple")
+            }
+            ModelError::BadProbability { fact, mu, reason } => {
+                write!(f, "μ({fact}) = {mu:?} is not a rational ({reason})")
+            }
             ModelError::NotAProbability { fact, value } => {
                 write!(f, "μ({fact}) = {value} is not a probability in [0,1]")
             }
@@ -40,6 +101,90 @@ impl fmt::Display for ModelError {
 }
 
 impl std::error::Error for ModelError {}
+
+/// The one fact rule of `𝔇 = (𝔄, μ)`: the format and error model a
+/// `(relation, tuple, present, μ)` row is checked against. Specs, store
+/// commits, store rebuilds and [`UnreliableDatabase::set_error`] all
+/// decide validity here.
+#[derive(Debug, Clone, Copy)]
+pub struct FactRule<'a> {
+    pub vocab: &'a Vocabulary,
+    /// `|A|`.
+    pub universe: usize,
+    pub model: ErrorModel,
+}
+
+impl FactRule<'_> {
+    /// Check one row: the relation is declared, the tuple has its arity,
+    /// every element is `< |A|`, `μ` parses and `0 ≤ μ ≤ 1`, and under
+    /// positive-only an absent fact has `μ = 0`. `present` is asked only
+    /// for that last check. Returns the fact and the parsed `μ`.
+    pub fn check(
+        &self,
+        relation: &str,
+        tuple: &[u32],
+        present: impl FnOnce(&Fact) -> bool,
+        mu: &str,
+    ) -> Result<(Fact, BigRational), ModelError> {
+        let rel = self
+            .vocab
+            .index_of(relation)
+            .ok_or_else(|| ModelError::UnknownRelation(relation.to_string()))?;
+        let expected = self.vocab.symbols()[rel].arity();
+        if tuple.len() != expected {
+            return Err(ModelError::ArityMismatch {
+                relation: relation.to_string(),
+                expected,
+                got: tuple.len(),
+            });
+        }
+        if let Some(&element) = tuple.iter().find(|&&e| e as usize >= self.universe) {
+            return Err(ModelError::ElementOutOfRange {
+                relation: relation.to_string(),
+                element,
+            });
+        }
+        let fact = Fact::new(rel, tuple.to_vec());
+        let p = BigRational::parse(mu).map_err(|e| ModelError::BadProbability {
+            fact: fact.display(self.vocab).to_string(),
+            mu: mu.to_string(),
+            reason: e.to_string(),
+        })?;
+        self.check_mu(&fact, || present(&fact), &p)?;
+        Ok((fact, p))
+    }
+
+    /// The `μ` half of [`FactRule::check`], for a fact already resolved.
+    fn check_mu(
+        &self,
+        fact: &Fact,
+        present: impl FnOnce() -> bool,
+        p: &BigRational,
+    ) -> Result<(), ModelError> {
+        if !p.is_probability() {
+            return Err(ModelError::NotAProbability {
+                fact: fact.display(self.vocab).to_string(),
+                value: p.to_string(),
+            });
+        }
+        if self.model == ErrorModel::PositiveOnly && !p.is_zero() && !present() {
+            return Err(ModelError::NegativeFactError {
+                fact: fact.display(self.vocab).to_string(),
+            });
+        }
+        Ok(())
+    }
+}
+
+/// One `(relation, tuple, present, μ)` row for [`UnreliableDatabase::from_rows`].
+#[derive(Debug, Clone, Copy)]
+pub struct FactRow<'a> {
+    pub relation: &'a str,
+    pub tuple: &'a [u32],
+    /// Whether the fact is in `𝔄`; `None` keeps the observed value.
+    pub present: Option<bool>,
+    pub mu: &'a str,
+}
 
 /// An unreliable database `𝔇 = (𝔄, μ)`.
 ///
@@ -67,6 +212,45 @@ impl UnreliableDatabase {
         }
     }
 
+    /// Build `𝔇` from an observed database and fact rows, every row
+    /// through the [`FactRule`]. A row with `present: Some(_)` also sets
+    /// the fact's truth value in `𝔄`; a later row for the same fact
+    /// wins. Specs and store datasets are both built here.
+    pub fn from_rows<'r>(
+        observed: Database,
+        model: ErrorModel,
+        rows: impl IntoIterator<Item = FactRow<'r>>,
+    ) -> Result<Self, ModelError> {
+        let mut ud = UnreliableDatabase::reliable(observed);
+        ud.model = model;
+        for row in rows {
+            let observed = &ud.observed;
+            let (fact, mu) = ud.rule().check(
+                row.relation,
+                row.tuple,
+                |f| row.present.unwrap_or_else(|| observed.holds(f)),
+                row.mu,
+            )?;
+            let i = ud.indexer.index_of(&fact);
+            ud.mu[i] = mu;
+            if let Some(present) = row.present {
+                ud.observed
+                    .relation_mut(fact.relation)
+                    .set(fact.tuple, present);
+            }
+        }
+        Ok(ud)
+    }
+
+    /// The [`FactRule`] for this database's format and model.
+    fn rule(&self) -> FactRule<'_> {
+        FactRule {
+            vocab: self.observed.vocabulary(),
+            universe: self.observed.size(),
+            model: self.model,
+        }
+    }
+
     /// The alternative presentation from the Remark in Section 2: instead
     /// of an observed database plus error probabilities, give directly the
     /// marginal probability `ν(Rā)` that each fact holds in the actual
@@ -75,7 +259,7 @@ impl UnreliableDatabase {
     /// same distribution `Ω(𝔇)` with `μ = min(ν, 1 − ν)`.
     ///
     /// `marginals` lists `(fact, ν)`; unmentioned facts get `ν = 0`
-    /// (certainly absent).
+    /// (certainly absent). A `ν` outside `[0, 1]` yields a `μ` outside it.
     pub fn from_marginals(
         format: Database,
         marginals: impl IntoIterator<Item = (Fact, BigRational)>,
@@ -88,12 +272,6 @@ impl UnreliableDatabase {
         let half = BigRational::from_ratio(1, 2);
         let collected: Vec<(Fact, BigRational)> = marginals.into_iter().collect();
         for (fact, nu) in &collected {
-            if !nu.is_probability() {
-                return Err(ModelError::NotAProbability {
-                    fact: fact.display(observed.vocabulary()).to_string(),
-                    value: nu.to_string(),
-                });
-            }
             if *nu > half {
                 observed.set_fact(fact, true);
             }
@@ -114,14 +292,11 @@ impl UnreliableDatabase {
     /// error assignments on negative facts are rejected.
     pub fn with_model(mut self, model: ErrorModel) -> Result<Self, ModelError> {
         self.model = model;
-        if model == ErrorModel::PositiveOnly {
-            for i in 0..self.mu.len() {
+        let rule = self.rule();
+        for (i, mu) in self.mu.iter().enumerate() {
+            if !mu.is_zero() {
                 let fact = self.indexer.fact_at(i);
-                if !self.mu[i].is_zero() && !self.observed.holds(&fact) {
-                    return Err(ModelError::NegativeFactError {
-                        fact: fact.display(self.observed.vocabulary()).to_string(),
-                    });
-                }
+                rule.check_mu(&fact, || self.observed.holds(&fact), mu)?;
             }
         }
         Ok(self)
@@ -149,17 +324,8 @@ impl UnreliableDatabase {
 
     /// Set `μ(fact) = p`.
     pub fn set_error(&mut self, fact: &Fact, p: BigRational) -> Result<(), ModelError> {
-        if !p.is_probability() {
-            return Err(ModelError::NotAProbability {
-                fact: fact.display(self.observed.vocabulary()).to_string(),
-                value: p.to_string(),
-            });
-        }
-        if self.model == ErrorModel::PositiveOnly && !p.is_zero() && !self.observed.holds(fact) {
-            return Err(ModelError::NegativeFactError {
-                fact: fact.display(self.observed.vocabulary()).to_string(),
-            });
-        }
+        self.rule()
+            .check_mu(fact, || self.observed.holds(fact), &p)?;
         self.mu[self.indexer.index_of(fact)] = p;
         Ok(())
     }

@@ -17,11 +17,9 @@
 //! }
 //! ```
 
-use crate::model::{ErrorModel, ModelError, UnreliableDatabase};
-use qrel_arith::BigRational;
-use qrel_db::{Database, Fact};
+use crate::model::{ErrorModel, FactRow, ModelError, UnreliableDatabase};
+use qrel_db::Database;
 use serde::{Deserialize, Serialize};
-use std::fmt;
 
 /// One error assignment in the spec.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -48,104 +46,21 @@ pub struct UnreliableDatabaseSpec {
 }
 
 fn default_model() -> String {
-    "full".to_string()
-}
-
-/// Errors when converting a spec into a model.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SpecError {
-    UnknownRelation(String),
-    BadProbability {
-        entry: usize,
-        reason: String,
-    },
-    UnknownModel(String),
-    Model(ModelError),
-    ArityMismatch {
-        relation: String,
-        expected: usize,
-        got: usize,
-    },
-    ElementOutOfRange {
-        relation: String,
-        element: u32,
-    },
-}
-
-impl fmt::Display for SpecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SpecError::UnknownRelation(r) => write!(f, "unknown relation {r:?}"),
-            SpecError::BadProbability { entry, reason } => {
-                write!(f, "error entry {entry}: bad probability ({reason})")
-            }
-            SpecError::UnknownModel(m) => {
-                write!(f, "unknown model {m:?} (use \"full\" or \"positive-only\")")
-            }
-            SpecError::Model(e) => write!(f, "{e}"),
-            SpecError::ArityMismatch {
-                relation,
-                expected,
-                got,
-            } => {
-                write!(
-                    f,
-                    "relation {relation:?} expects arity {expected}, got {got}"
-                )
-            }
-            SpecError::ElementOutOfRange { relation, element } => {
-                write!(f, "element {element} out of range in a {relation:?} tuple")
-            }
-        }
-    }
-}
-
-impl std::error::Error for SpecError {}
-
-impl From<ModelError> for SpecError {
-    fn from(e: ModelError) -> Self {
-        SpecError::Model(e)
-    }
+    ErrorModel::Full.name().to_string()
 }
 
 impl UnreliableDatabaseSpec {
-    /// Build the computational model from the spec.
-    pub fn build(&self) -> Result<UnreliableDatabase, SpecError> {
-        let model = match self.model.as_str() {
-            "full" => ErrorModel::Full,
-            "positive-only" => ErrorModel::PositiveOnly,
-            other => return Err(SpecError::UnknownModel(other.to_string())),
-        };
-        let mut ud = UnreliableDatabase::reliable(self.database.clone()).with_model(model)?;
-        for (i, e) in self.errors.iter().enumerate() {
-            let rel_ix = self
-                .database
-                .vocabulary()
-                .index_of(&e.relation)
-                .ok_or_else(|| SpecError::UnknownRelation(e.relation.clone()))?;
-            let expected = self.database.vocabulary().symbols()[rel_ix].arity();
-            if expected != e.tuple.len() {
-                return Err(SpecError::ArityMismatch {
-                    relation: e.relation.clone(),
-                    expected,
-                    got: e.tuple.len(),
-                });
-            }
-            for &el in &e.tuple {
-                if el as usize >= self.database.size() {
-                    return Err(SpecError::ElementOutOfRange {
-                        relation: e.relation.clone(),
-                        element: el,
-                    });
-                }
-            }
-            let mu = BigRational::parse(&e.mu).map_err(|err| SpecError::BadProbability {
-                entry: i,
-                reason: err.to_string(),
-            })?;
-            ud.set_error(&Fact::new(rel_ix, e.tuple.clone()), mu)?;
-        }
-        Ok(ud)
+    /// Build the computational model from the spec: the observed
+    /// database plus one [`FactRule`](crate::FactRule)-checked row per
+    /// error assignment (a later assignment to the same fact wins).
+    pub fn build(&self) -> Result<UnreliableDatabase, ModelError> {
+        let rows = self.errors.iter().map(|e| FactRow {
+            relation: &e.relation,
+            tuple: &e.tuple,
+            present: None,
+            mu: &e.mu,
+        });
+        UnreliableDatabase::from_rows(self.database.clone(), ErrorModel::parse(&self.model)?, rows)
     }
 
     /// Extract the spec back out of a model (sparse: only `μ ≠ 0`).
@@ -166,10 +81,7 @@ impl UnreliableDatabaseSpec {
         }
         UnreliableDatabaseSpec {
             database: ud.observed().clone(),
-            model: match ud.model() {
-                ErrorModel::Full => "full".to_string(),
-                ErrorModel::PositiveOnly => "positive-only".to_string(),
-            },
+            model: ud.model().name().to_string(),
             errors,
         }
     }
@@ -178,7 +90,8 @@ impl UnreliableDatabaseSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qrel_db::DatabaseBuilder;
+    use qrel_arith::BigRational;
+    use qrel_db::{DatabaseBuilder, Fact};
 
     fn sample_spec() -> UnreliableDatabaseSpec {
         let db = DatabaseBuilder::new()
@@ -250,33 +163,46 @@ mod tests {
     fn validation_errors() {
         let mut spec = sample_spec();
         spec.errors[0].relation = "Z".into();
-        assert!(matches!(spec.build(), Err(SpecError::UnknownRelation(_))));
+        assert!(matches!(spec.build(), Err(ModelError::UnknownRelation(_))));
 
         let mut spec = sample_spec();
         spec.errors[0].tuple = vec![0];
-        assert!(matches!(spec.build(), Err(SpecError::ArityMismatch { .. })));
+        assert!(matches!(
+            spec.build(),
+            Err(ModelError::ArityMismatch { .. })
+        ));
 
         let mut spec = sample_spec();
         spec.errors[0].tuple = vec![0, 9];
         assert!(matches!(
             spec.build(),
-            Err(SpecError::ElementOutOfRange { .. })
+            Err(ModelError::ElementOutOfRange { .. })
         ));
 
         let mut spec = sample_spec();
         spec.errors[0].mu = "3/2".into();
-        assert!(matches!(spec.build(), Err(SpecError::Model(_))));
+        assert!(matches!(
+            spec.build(),
+            Err(ModelError::NotAProbability { .. })
+        ));
+
+        let mut spec = sample_spec();
+        spec.errors[0].mu = "-1/2".into();
+        assert!(matches!(
+            spec.build(),
+            Err(ModelError::NotAProbability { .. })
+        ));
 
         let mut spec = sample_spec();
         spec.errors[0].mu = "x".into();
         assert!(matches!(
             spec.build(),
-            Err(SpecError::BadProbability { .. })
+            Err(ModelError::BadProbability { .. })
         ));
 
         let mut spec = sample_spec();
         spec.model = "weird".into();
-        assert!(matches!(spec.build(), Err(SpecError::UnknownModel(_))));
+        assert!(matches!(spec.build(), Err(ModelError::UnknownModel(_))));
     }
 
     #[test]
@@ -284,7 +210,10 @@ mod tests {
         let mut spec = sample_spec();
         spec.model = "positive-only".into();
         // S(0) is not observed — positive-only must reject its error.
-        assert!(spec.build().is_err());
+        assert!(matches!(
+            spec.build(),
+            Err(ModelError::NegativeFactError { .. })
+        ));
         spec.errors[1].tuple = vec![2]; // S(2) is observed
         let ud = spec.build().unwrap();
         assert_eq!(ud.model(), ErrorModel::PositiveOnly);

@@ -1513,11 +1513,7 @@ fn store_error_response(e: &StoreError) -> Response {
     let status = match e {
         StoreError::UnknownDataset(_) => 404,
         StoreError::DatasetExists(_) => 409,
-        StoreError::UnknownRelation { .. }
-        | StoreError::ArityMismatch { .. }
-        | StoreError::ElementOutOfRange { .. }
-        | StoreError::BadProbability { .. }
-        | StoreError::NegativeFactError { .. } => 400,
+        StoreError::Invalid(_) => 400,
         StoreError::Io(_) | StoreError::Corrupt(_) | StoreError::Injected(_) => 500,
     };
     Response::json(status, error_body(status, &e.to_string(), None))
@@ -2549,6 +2545,7 @@ mod tests {
         });
         let good = r#"{"facts":[{"relation":"Admin","tuple":[1]}]}"#;
         assert_eq!(http(addr, "POST", "/v1/datasets/nope/facts", good).0, 404);
+        let (_, _, listed) = http(addr, "GET", "/v1/datasets", "");
         for bad in [
             "not json",
             r#"{"facts":7}"#,
@@ -2556,12 +2553,18 @@ mod tests {
             r#"{"facts":[{"relation":"Admin","tuple":[0,1]}]}"#,
             r#"{"facts":[{"relation":"Admin","tuple":[99]}]}"#,
             r#"{"facts":[{"relation":"Admin","tuple":[0],"mu":"3/2"}]}"#,
+            r#"{"facts":[{"relation":"Admin","tuple":[0],"mu":"-1/2"}]}"#,
             r#"{"facts":[{"relation":"Admin","tuple":[0],"mu":"nope"}]}"#,
             r#"{"facts":[{"relation":"Admin","tuple":[0],"surprise":1}]}"#,
         ] {
             let (s, _, body) = http(addr, "POST", "/v1/datasets/alpha/facts", bad);
             assert_eq!(s, 400, "accepted {bad}: {body}");
         }
+        // Nothing a rejected batch carried was committed, and the store
+        // still takes a good batch.
+        assert_eq!(http(addr, "GET", "/v1/datasets", "").2, listed);
+        let (s, _, body) = http(addr, "POST", "/v1/datasets/alpha/facts", good);
+        assert_eq!(s, 200, "{body}");
         // DELETE items must not carry upsert fields.
         let (s, _, body) = http(
             addr,
@@ -2573,6 +2576,14 @@ mod tests {
         assert_eq!(http(addr, "PATCH", "/v1/datasets/alpha/facts", good).0, 405);
         assert_eq!(http(addr, "DELETE", "/v1/datasets", "").0, 405);
         assert_eq!(http(addr, "GET", "/v1/datasets/alpha", "").0, 404);
+        handle.shutdown();
+        join.join().unwrap();
+        // The store boots again.
+        let (_, handle, join) = boot(ServerConfig {
+            workers: 1,
+            store: Some(dir.clone()),
+            ..ServerConfig::default()
+        });
         handle.shutdown();
         join.join().unwrap();
         std::fs::remove_dir_all(&dir).unwrap();

@@ -26,6 +26,7 @@
 //! produce related outputs), so every per-fact hash is passed through a
 //! SplitMix64-style finalizer for avalanche.
 
+use qrel_arith::BigRational;
 use qrel_db::Fact;
 use qrel_prob::UnreliableDatabase;
 
@@ -55,8 +56,6 @@ fn mix64(mut x: u64) -> u64 {
 /// Hash of one fact in one state. The default state `(absent, μ = 0)`
 /// hashes to `0` so it contributes nothing to the combine; `mu` must be
 /// in canonical [`BigRational`] display form (`"0"`, `"1"`, `"p/q"`).
-///
-/// [`BigRational`]: qrel_arith::BigRational
 pub fn fact_state_hash(relation: &str, tuple: &[u32], present: bool, mu: &str) -> u64 {
     if !present && mu == "0" {
         return 0;
@@ -93,13 +92,6 @@ pub fn base_hash(universe: &[String], relations: &[(String, usize)], model: &str
     mix64(fnv1a(&buf))
 }
 
-fn model_name(ud: &UnreliableDatabase) -> &'static str {
-    match ud.model() {
-        qrel_prob::ErrorModel::Full => "full",
-        qrel_prob::ErrorModel::PositiveOnly => "positive-only",
-    }
-}
-
 /// From-scratch recomputation of the incremental db-hash for an
 /// in-memory model. [`Store`] commits maintain the same value without
 /// ever rescanning; tests pin the two against each other.
@@ -118,43 +110,43 @@ pub fn db_hash_of(ud: &UnreliableDatabase) -> u64 {
         .iter()
         .map(|s| (s.name().to_string(), s.arity()))
         .collect();
-    let mut h = base_hash(&universe, &relations, model_name(ud));
+    let mut h = base_hash(&universe, &relations, ud.model().name());
     for (ri, sym) in obs.vocabulary().symbols().iter().enumerate() {
         for tuple in obs.relation(ri).iter() {
             let mu = ud.mu(&Fact::new(ri, tuple.clone()));
             h ^= fact_state_hash(sym.name(), tuple, true, &mu.to_string());
         }
     }
-    // Absent-but-uncertain facts (μ ≠ 0 on a fact the observed database
-    // lacks) are non-default too.
-    for idx in ud.uncertain_facts() {
-        let fact = ud.indexer().fact_at(idx);
-        if !obs.holds(&fact) {
-            let name = obs.vocabulary().symbols()[fact.relation].name();
-            h ^= fact_state_hash(name, &fact.tuple, false, &ud.mu_at(idx).to_string());
-        }
+    for (fact, mu) in absent_errors(ud) {
+        let name = obs.vocabulary().symbols()[fact.relation].name();
+        h ^= fact_state_hash(name, &fact.tuple, false, &mu.to_string());
     }
     h
 }
 
-/// Number of non-default facts in a model: observed tuples plus
-/// absent-but-uncertain facts. This is the "live facts" figure the
-/// store tracks per dataset and `/healthz` reports.
-pub fn live_fact_count(ud: &UnreliableDatabase) -> u64 {
-    let obs = ud.observed();
-    let mut live = obs.tuple_count() as u64;
-    for idx in ud.uncertain_facts() {
-        if !obs.holds(&ud.indexer().fact_at(idx)) {
-            live += 1;
+/// Facts the observed database lacks but `μ ≠ 0` (uncertain, or
+/// certainly present at `μ = 1`): non-default although absent.
+fn absent_errors(ud: &UnreliableDatabase) -> impl Iterator<Item = (Fact, &BigRational)> {
+    (0..ud.indexer().total()).filter_map(move |i| {
+        let mu = ud.mu_at(i);
+        if mu.is_zero() {
+            return None;
         }
-    }
-    live
+        let fact = ud.indexer().fact_at(i);
+        (!ud.observed().holds(&fact)).then_some((fact, mu))
+    })
+}
+
+/// Number of non-default facts in a model: observed tuples plus absent
+/// facts with `μ ≠ 0`. This is the "live facts" figure the store tracks
+/// per dataset and `/healthz` reports.
+pub fn live_fact_count(ud: &UnreliableDatabase) -> u64 {
+    ud.observed().tuple_count() as u64 + absent_errors(ud).count() as u64
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qrel_arith::BigRational;
     use qrel_db::DatabaseBuilder;
 
     fn sample_ud() -> UnreliableDatabase {

@@ -7,11 +7,12 @@ use crate::manifest::{
     SegmentRef,
 };
 use crate::segment::{encode_segment, scan_relation, verify_pages, FactOp, RelationBlock};
-use qrel_arith::BigRational;
-use qrel_db::{Database, Fact, Universe};
-use qrel_logic::vocab::{RelationSymbol, Vocabulary};
-use qrel_prob::{ErrorModel, UnreliableDatabase, UnreliableDatabaseSpec};
-use std::collections::{BTreeMap, HashMap};
+use qrel_db::{Database, Universe};
+use qrel_logic::vocab::Vocabulary;
+use qrel_prob::{
+    ErrorModel, FactRow, FactRule, ModelError, UnreliableDatabase, UnreliableDatabaseSpec,
+};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
@@ -26,27 +27,9 @@ pub enum StoreError {
     Corrupt(String),
     UnknownDataset(String),
     DatasetExists(String),
-    UnknownRelation {
-        dataset: String,
-        relation: String,
-    },
-    ArityMismatch {
-        relation: String,
-        expected: usize,
-        got: usize,
-    },
-    ElementOutOfRange {
-        relation: String,
-        element: u32,
-    },
-    BadProbability {
-        relation: String,
-        reason: String,
-    },
-    /// Positive-only model: μ ≠ 0 on an absent fact.
-    NegativeFactError {
-        relation: String,
-    },
+    /// A mutation, spec or model name the fact rule rejects
+    /// ([`qrel_prob::FactRule`]); nothing was written.
+    Invalid(ModelError),
     /// A deterministic fault-injection point fired (chaos testing).
     Injected(&'static str),
 }
@@ -58,33 +41,19 @@ impl fmt::Display for StoreError {
             StoreError::Corrupt(m) => write!(f, "store corrupt: {m}"),
             StoreError::UnknownDataset(n) => write!(f, "unknown dataset {n:?}"),
             StoreError::DatasetExists(n) => write!(f, "dataset {n:?} already exists"),
-            StoreError::UnknownRelation { dataset, relation } => {
-                write!(f, "dataset {dataset:?} has no relation {relation:?}")
-            }
-            StoreError::ArityMismatch {
-                relation,
-                expected,
-                got,
-            } => write!(
-                f,
-                "relation {relation:?} expects arity {expected}, got {got}"
-            ),
-            StoreError::ElementOutOfRange { relation, element } => {
-                write!(f, "element {element} out of range in a {relation:?} tuple")
-            }
-            StoreError::BadProbability { relation, reason } => {
-                write!(f, "bad probability on a {relation:?} fact: {reason}")
-            }
-            StoreError::NegativeFactError { relation } => write!(
-                f,
-                "positive-only model: μ > 0 on an absent {relation:?} fact"
-            ),
+            StoreError::Invalid(e) => write!(f, "{e}"),
             StoreError::Injected(what) => write!(f, "injected fault: {what}"),
         }
     }
 }
 
 impl std::error::Error for StoreError {}
+
+impl From<ModelError> for StoreError {
+    fn from(e: ModelError) -> Self {
+        StoreError::Invalid(e)
+    }
+}
 
 /// One staged fact mutation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -150,6 +119,23 @@ fn is_default(state: &FactState) -> bool {
     !state.0 && state_mu(state) == "0"
 }
 
+/// The dataset's vocabulary, in declaration order.
+fn vocabulary(entry: &DatasetEntry) -> Vocabulary {
+    Vocabulary::from_pairs(
+        entry
+            .relations
+            .iter()
+            .map(|r| (r.name.clone(), r.arity as usize)),
+    )
+}
+
+/// The dataset's error model; an unknown name means the manifest is
+/// damaged, not that a client erred.
+fn error_model(entry: &DatasetEntry) -> Result<ErrorModel, StoreError> {
+    ErrorModel::parse(&entry.model)
+        .map_err(|e| StoreError::Corrupt(format!("dataset {:?}: {e}", entry.name)))
+}
+
 fn state_hash(relation: &str, tuple: &[u32], state: &FactState) -> u64 {
     fact_state_hash(relation, tuple, state.0, state_mu(state))
 }
@@ -188,10 +174,7 @@ impl StoredDataset {
         relation: &str,
     ) -> Result<&BTreeMap<Vec<u32>, FactState>, StoreError> {
         if !self.entry.relations.iter().any(|r| r.name == relation) {
-            return Err(StoreError::UnknownRelation {
-                dataset: self.entry.name.clone(),
-                relation: relation.to_string(),
-            });
+            return Err(ModelError::UnknownRelation(relation.to_string()).into());
         }
         if !self.merged.contains_key(relation) {
             let mut state: BTreeMap<Vec<u32>, FactState> = BTreeMap::new();
@@ -259,61 +242,28 @@ impl StoredDataset {
         Ok(live)
     }
 
-    /// Reconstruct the observed [`Database`] (present facts only).
-    pub fn database(&mut self) -> Result<Database, StoreError> {
-        let universe = Universe::from_names(self.entry.universe.clone());
-        let mut vocab = Vocabulary::new();
-        for r in &self.entry.relations {
-            vocab.add(RelationSymbol::new(r.name.clone(), r.arity as usize));
-        }
-        let mut db = Database::empty(vocab, universe);
-        let decls = self.entry.relations.clone();
-        for (ri, r) in decls.iter().enumerate() {
-            let tuples: Vec<Vec<u32>> = self
-                .relation_state(&r.name)?
-                .iter()
-                .filter(|(_, s)| s.0)
-                .map(|(t, _)| t.clone())
-                .collect();
-            for t in tuples {
-                db.set_fact(&Fact::new(ri, t), true);
-            }
-        }
-        Ok(db)
-    }
-
-    /// Reconstruct the full [`UnreliableDatabase`] model.
+    /// Reconstruct the full [`UnreliableDatabase`] model: every merged
+    /// row goes through the fact rule, as a spec's rows do. A row the
+    /// rule rejects means the store holds data no commit could write.
     pub fn build(&mut self) -> Result<UnreliableDatabase, StoreError> {
-        let db = self.database()?;
-        let model = match self.entry.model.as_str() {
-            "full" => ErrorModel::Full,
-            "positive-only" => ErrorModel::PositiveOnly,
-            other => {
-                return Err(StoreError::Corrupt(format!(
-                    "unknown model {other:?} in manifest"
-                )))
-            }
-        };
-        let mut ud = UnreliableDatabase::reliable(db)
-            .with_model(model)
-            .map_err(|e| StoreError::Corrupt(e.to_string()))?;
-        let decls = self.entry.relations.clone();
-        for (ri, r) in decls.iter().enumerate() {
-            let uncertain: Vec<(Vec<u32>, String)> = self
-                .relation_state(&r.name)?
-                .iter()
-                .filter(|(_, s)| state_mu(s) != "0")
-                .map(|(t, s)| (t.clone(), state_mu(s).to_string()))
-                .collect();
-            for (tuple, mu) in uncertain {
-                let p = BigRational::parse(&mu).map_err(|e| {
-                    StoreError::Corrupt(format!("bad stored probability {mu:?}: {e}"))
-                })?;
-                ud.set_error(&Fact::new(ri, tuple), p)
-                    .map_err(|e| StoreError::Corrupt(e.to_string()))?;
-            }
+        let model = error_model(&self.entry)?;
+        for i in 0..self.entry.relations.len() {
+            let name = self.entry.relations[i].name.clone();
+            self.relation_state(&name)?;
         }
-        Ok(ud)
+        let universe = Universe::from_names(self.entry.universe.clone());
+        let observed = Database::empty(vocabulary(&self.entry), universe);
+        let merged = &self.merged;
+        let rows = self.entry.relations.iter().flat_map(|r| {
+            merged[&r.name].iter().map(|(tuple, state)| FactRow {
+                relation: &r.name,
+                tuple,
+                present: Some(state.0),
+                mu: state_mu(state),
+            })
+        });
+        UnreliableDatabase::from_rows(observed, model, rows)
+            .map_err(|e| StoreError::Corrupt(format!("dataset {:?}: {e}", self.entry.name)))
     }
 
     /// Extract the interchange spec (for `qrel store dump`).
@@ -472,11 +422,7 @@ impl Store {
         if self.manifest.dataset(name).is_some() {
             return Err(StoreError::DatasetExists(name.to_string()));
         }
-        if model != "full" && model != "positive-only" {
-            return Err(StoreError::Corrupt(format!(
-                "unknown model {model:?} (use \"full\" or \"positive-only\")"
-            )));
-        }
+        let model = ErrorModel::parse(model)?.name();
         let rel_decls: Vec<(String, usize)> = relations;
         let db_hash = base_hash(&universe, &rel_decls, model);
         self.manifest.datasets.push(DatasetEntry {
@@ -521,14 +467,16 @@ impl Store {
         })
     }
 
-    /// Full-integrity pass over one dataset: every page checksum, plus
-    /// the manifest's incremental db-hash and live-fact count against a
+    /// Full-integrity pass over one dataset: every page checksum, every
+    /// merged row through the fact rule (the build boot runs), plus the
+    /// manifest's incremental db-hash and live-fact count against a
     /// from-scratch recomputation.
     pub fn verify(&self, name: &str) -> Result<(), StoreError> {
         let mut ds = self.load(name)?;
         for bytes in &ds.segments {
             verify_pages(bytes).map_err(|e| StoreError::Corrupt(e.to_string()))?;
         }
+        ds.build()?;
         let recomputed = ds.recompute_hash()?;
         if recomputed != ds.entry.db_hash {
             return Err(StoreError::Corrupt(format!(
@@ -542,51 +490,6 @@ impl Store {
                 "live-fact drift in {name:?}: manifest {}, recomputed {live}",
                 ds.entry.live_facts
             )));
-        }
-        Ok(())
-    }
-
-    /// Validate one mutation against the dataset's shape and model.
-    fn validate(entry: &DatasetEntry, m: &Mutation) -> Result<(), StoreError> {
-        let decl = entry
-            .relations
-            .iter()
-            .find(|r| r.name == m.relation)
-            .ok_or_else(|| StoreError::UnknownRelation {
-                dataset: entry.name.clone(),
-                relation: m.relation.clone(),
-            })?;
-        if decl.arity as usize != m.tuple.len() {
-            return Err(StoreError::ArityMismatch {
-                relation: m.relation.clone(),
-                expected: decl.arity as usize,
-                got: m.tuple.len(),
-            });
-        }
-        for &e in &m.tuple {
-            if e as usize >= entry.universe.len() {
-                return Err(StoreError::ElementOutOfRange {
-                    relation: m.relation.clone(),
-                    element: e,
-                });
-            }
-        }
-        if let FactOp::Set { present, mu } = &m.op {
-            let p = BigRational::parse(mu).map_err(|e| StoreError::BadProbability {
-                relation: m.relation.clone(),
-                reason: e.to_string(),
-            })?;
-            if p > BigRational::one() {
-                return Err(StoreError::BadProbability {
-                    relation: m.relation.clone(),
-                    reason: format!("{mu} > 1"),
-                });
-            }
-            if entry.model == "positive-only" && !present && !p.is_zero() {
-                return Err(StoreError::NegativeFactError {
-                    relation: m.relation.clone(),
-                });
-            }
         }
         Ok(())
     }
@@ -637,21 +540,31 @@ impl Store {
             .dataset(dataset)
             .ok_or_else(|| StoreError::UnknownDataset(dataset.to_string()))?
             .clone();
-        for m in batch {
-            Self::validate(&entry, m)?;
-        }
-        // Stage: last mutation per (relation, tuple) wins; canonicalize
-        // probability strings so "2/4" and "1/2" hash identically.
+        // Validate every mutation with the fact rule (a reset is the
+        // row (absent, μ = 0)) and stage it: last mutation per (relation,
+        // tuple) wins; the parsed μ is canonical, so "2/4" and "1/2" hash
+        // identically.
+        let vocab = vocabulary(&entry);
+        let rule = FactRule {
+            vocab: &vocab,
+            universe: entry.universe.len(),
+            model: error_model(&entry)?,
+        };
         let mut staged: BTreeMap<(String, Vec<u32>), FactOp> = BTreeMap::new();
         for m in batch {
-            let op = match &m.op {
+            let (present, mu) = match &m.op {
+                FactOp::Reset => (false, "0"),
+                FactOp::Set { present, mu } => (*present, mu.as_str()),
+            };
+            let (fact, p) = rule.check(&m.relation, &m.tuple, |_| present, mu)?;
+            let op = match m.op {
                 FactOp::Reset => FactOp::Reset,
-                FactOp::Set { present, mu } => FactOp::Set {
-                    present: *present,
-                    mu: BigRational::parse(mu).expect("validated above").to_string(),
+                FactOp::Set { .. } => FactOp::Set {
+                    present,
+                    mu: p.to_string(),
                 },
             };
-            staged.insert((m.relation.clone(), m.tuple.clone()), op);
+            staged.insert((m.relation.clone(), fact.tuple), op);
         }
         if staged.is_empty() {
             return Ok(CommitStats {
@@ -806,50 +719,56 @@ impl Store {
         })
     }
 
-    /// Create a dataset from an interchange spec and commit all its
-    /// facts in one batch (the `qrel store ingest` path).
+    /// Create a dataset from an interchange spec and commit its rows in
+    /// one batch (the `qrel store ingest` path): every observed fact,
+    /// then every error assignment with `μ ≠ 0`. Each error row passes
+    /// the fact rule before anything touches disk, so an invalid spec
+    /// writes nothing.
     pub fn ingest_spec(
         &mut self,
         name: &str,
         spec: &UnreliableDatabaseSpec,
     ) -> Result<CommitStats, StoreError> {
-        // Build first: reuses the spec's own validation (arity, range,
-        // probability, model) before anything touches disk.
-        let ud = spec
-            .build()
-            .map_err(|e| StoreError::Corrupt(format!("invalid spec: {e}")))?;
-        let obs = ud.observed();
-        let universe: Vec<String> = obs
+        let db = &spec.database;
+        let vocab = db.vocabulary();
+        let rule = FactRule {
+            vocab,
+            universe: db.size(),
+            model: ErrorModel::parse(&spec.model)?,
+        };
+        // Later assignments to a fact win, as in the spec's own build.
+        let mut seen = HashSet::new();
+        let mut errors = Vec::new();
+        for e in spec.errors.iter().rev() {
+            let (fact, p) = rule.check(&e.relation, &e.tuple, |f| db.holds(f), &e.mu)?;
+            let present = db.holds(&fact);
+            if seen.insert(fact) && !p.is_zero() {
+                errors.push(Mutation::set(
+                    &e.relation,
+                    e.tuple.clone(),
+                    present,
+                    &p.to_string(),
+                ));
+            }
+        }
+        let universe: Vec<String> = db
             .universe()
             .elements()
-            .map(|e| obs.universe().name(e).to_string())
+            .map(|e| db.universe().name(e).to_string())
             .collect();
-        let relations: Vec<(String, usize)> = obs
-            .vocabulary()
+        let relations: Vec<(String, usize)> = vocab
             .symbols()
             .iter()
             .map(|s| (s.name().to_string(), s.arity()))
             .collect();
         self.create_dataset(name, universe, relations, &spec.model)?;
-        let mut batch = Vec::new();
-        for (ri, sym) in obs.vocabulary().symbols().iter().enumerate() {
-            for tuple in obs.relation(ri).iter() {
-                let mu = ud.mu(&Fact::new(ri, tuple.clone())).to_string();
-                batch.push(Mutation::set(sym.name(), tuple.clone(), true, &mu));
+        let mut batch = Vec::with_capacity(db.tuple_count() + errors.len());
+        for (ri, sym) in vocab.symbols().iter().enumerate() {
+            for tuple in db.relation(ri).iter() {
+                batch.push(Mutation::set(sym.name(), tuple.clone(), true, "0"));
             }
         }
-        for idx in ud.uncertain_facts() {
-            let fact = ud.indexer().fact_at(idx);
-            if !obs.holds(&fact) {
-                let name = obs.vocabulary().symbols()[fact.relation].name();
-                batch.push(Mutation::set(
-                    name,
-                    fact.tuple.clone(),
-                    false,
-                    &ud.mu_at(idx).to_string(),
-                ));
-            }
-        }
+        batch.extend(errors);
         self.commit(name, &batch)
     }
 }
@@ -862,8 +781,9 @@ impl Store {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hash::db_hash_of;
-    use qrel_db::DatabaseBuilder;
+    use crate::hash::{db_hash_of, fact_state_hash};
+    use qrel_arith::BigRational;
+    use qrel_db::{DatabaseBuilder, Fact};
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("qrel-store-{tag}-{}", std::process::id()));
@@ -1000,6 +920,134 @@ mod tests {
     }
 
     #[test]
+    fn negative_mu_is_rejected_typed_and_writes_nothing() {
+        let _quiet = qrel_faults::quiesce();
+        let dir = tmp_dir("negative");
+        let mut store = Store::init(&dir).unwrap();
+        store.ingest_spec("d", &sample_spec()).unwrap();
+        let before = store.dataset("d").unwrap().clone();
+        match store.commit("d", &[Mutation::set("S", vec![2], true, "-1/2")]) {
+            Err(StoreError::Invalid(ModelError::NotAProbability { fact, value })) => {
+                assert_eq!((fact.as_str(), value.as_str()), ("S(2)", "-1/2"));
+            }
+            other => panic!("expected NotAProbability, got {other:?}"),
+        }
+        assert_eq!(store.dataset("d").unwrap(), &before);
+        assert_eq!(fs::read_dir(segments_dir(&dir)).unwrap().count(), 1);
+        drop(store);
+        let store = Store::open(&dir).unwrap();
+        store.verify("d").unwrap();
+        assert_eq!(
+            UnreliableDatabaseSpec::from_model(&store.load("d").unwrap().build().unwrap()),
+            sample_spec()
+        );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn verify_runs_stored_rows_through_the_fact_rule() {
+        let _quiet = qrel_faults::quiesce();
+        let dir = tmp_dir("verify-rule");
+        let mut store = Store::init(&dir).unwrap();
+        store
+            .create_dataset("d", vec!["e0".into()], vec![("S".into(), 1)], "full")
+            .unwrap();
+        // A segment no commit can write any more, with a manifest that
+        // agrees with it on hash, live count and length.
+        let image = encode_segment(&[RelationBlock {
+            relation: "S".into(),
+            arity: 1,
+            rows: vec![(
+                vec![0],
+                FactOp::Set {
+                    present: true,
+                    mu: "-1/2".into(),
+                },
+            )],
+        }]);
+        store.publish_segment("d-00000000.seg", &image).unwrap();
+        let e = store.manifest.dataset_mut("d").unwrap();
+        e.segments.push(SegmentRef {
+            file: "d-00000000.seg".into(),
+            bytes: image.len() as u64,
+        });
+        e.db_hash ^= fact_state_hash("S", &[0], true, "-1/2");
+        e.live_facts = 1;
+        e.total_rows = 1;
+        e.next_seq = 1;
+        write_manifest(&dir, &store.manifest).unwrap();
+        let store = Store::open(&dir).unwrap();
+        assert_eq!(
+            store.load("d").unwrap().recompute_hash().unwrap(),
+            store.dataset("d").unwrap().db_hash
+        );
+        for result in [
+            store.verify("d"),
+            store.load("d").unwrap().build().map(|_| ()),
+        ] {
+            match result {
+                Err(StoreError::Corrupt(m)) => assert!(m.contains("μ(S(0)) = -1/2"), "{m}"),
+                other => panic!("expected Corrupt, got {other:?}"),
+            }
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn ingest_keeps_absent_facts_certain_at_mu_one() {
+        let _quiet = qrel_faults::quiesce();
+        let dir = tmp_dir("mu-one");
+        let mut store = Store::init(&dir).unwrap();
+        let mut spec = sample_spec();
+        // S(1) is absent from 𝔄 and certainly present in every world.
+        spec.errors.push(qrel_prob::ErrorSpec {
+            relation: "S".into(),
+            tuple: vec![1],
+            mu: "1".into(),
+        });
+        let ud = spec.build().unwrap();
+        let stats = store.ingest_spec("d", &spec).unwrap();
+        assert_eq!(stats.live_facts, crate::hash::live_fact_count(&ud));
+        assert_eq!(stats.live_facts, 5);
+        assert_eq!(stats.db_hash, db_hash_of(&ud));
+        store.verify("d").unwrap();
+        let rebuilt = store.load("d").unwrap().build().unwrap();
+        assert_eq!(rebuilt.mu(&Fact::new(1, vec![1])), &BigRational::one());
+        assert_eq!(
+            UnreliableDatabaseSpec::from_model(&rebuilt),
+            UnreliableDatabaseSpec::from_model(&ud)
+        );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn invalid_spec_or_model_registers_nothing() {
+        let _quiet = qrel_faults::quiesce();
+        let dir = tmp_dir("invalid-spec");
+        let mut store = Store::init(&dir).unwrap();
+        let mut spec = sample_spec();
+        spec.errors[1].mu = "3/2".into();
+        assert!(matches!(
+            store.ingest_spec("d", &spec),
+            Err(StoreError::Invalid(ModelError::NotAProbability { .. }))
+        ));
+        let mut spec = sample_spec();
+        spec.model = "partial".into();
+        assert!(matches!(
+            store.ingest_spec("d", &spec),
+            Err(StoreError::Invalid(ModelError::UnknownModel(_)))
+        ));
+        assert!(matches!(
+            store.create_dataset("d", vec!["e0".into()], vec![], "partial"),
+            Err(StoreError::Invalid(ModelError::UnknownModel(_)))
+        ));
+        assert!(store.dataset_names().is_empty());
+        assert!(Store::open(&dir).unwrap().dataset_names().is_empty());
+        assert_eq!(fs::read_dir(segments_dir(&dir)).unwrap().count(), 0);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn positive_only_rejects_absent_uncertain_facts() {
         let _quiet = qrel_faults::quiesce();
         let dir = tmp_dir("positive");
@@ -1014,7 +1062,7 @@ mod tests {
             .unwrap();
         assert!(matches!(
             store.commit("d", &[Mutation::set("S", vec![0], false, "1/2")]),
-            Err(StoreError::NegativeFactError { .. })
+            Err(StoreError::Invalid(ModelError::NegativeFactError { .. }))
         ));
         store
             .commit("d", &[Mutation::set("S", vec![0], true, "1/2")])

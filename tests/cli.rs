@@ -472,3 +472,47 @@ fn json_output_uses_the_error_envelope_on_failure() {
     assert_eq!(env.code, "unprocessable");
     assert!(!env.retryable);
 }
+
+#[test]
+fn store_ingest_of_an_invalid_spec_is_a_user_error_and_registers_nothing() {
+    let dir = std::env::temp_dir().join(format!("qrel-cli-store-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let d = dir.to_str().unwrap();
+    let (ok, _, stderr) = qrel(&["store", "init", "--dir", d]);
+    assert!(ok, "{stderr}");
+    let (ok, spec, _) = qrel(&["example-spec"]);
+    assert!(ok);
+    assert!(spec.contains("\"1/10\""), "{spec}");
+    let bad = tempfile_path::write(&spec.replacen("\"1/10\"", "\"3/2\"", 1));
+    let (code, _, stderr) = qrel_code(&[
+        "store",
+        "ingest",
+        "--dir",
+        d,
+        "--dataset",
+        "ex",
+        "--db",
+        bad.as_str(),
+    ]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("3/2 is not a probability"), "{stderr}");
+    assert!(!stderr.contains("corrupt"), "{stderr}");
+    // Nothing was registered: the name is still free for a valid spec.
+    let (ok, _, stderr) = qrel(&["store", "dump", "--dir", d, "--dataset", "ex"]);
+    assert!(!ok);
+    assert!(stderr.contains("unknown dataset"), "{stderr}");
+    let good = tempfile_path::write(&spec);
+    let (ok, stdout, stderr) = qrel(&[
+        "store",
+        "ingest",
+        "--dir",
+        d,
+        "--dataset",
+        "ex",
+        "--db",
+        good.as_str(),
+    ]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("ingested \"ex\""), "{stdout}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}

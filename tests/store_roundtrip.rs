@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use qrel::prelude::*;
-use qrel::prob::UnreliableDatabaseSpec;
+use qrel::prob::{ErrorSpec, UnreliableDatabaseSpec};
 use qrel::store::{db_hash_of, Mutation, Store, StoreError};
 use qrel_faults::{points, FaultPlan};
 use std::path::PathBuf;
@@ -195,6 +195,69 @@ fn killed_mid_commit_recovers_to_published_state() {
         // The same batch lands cleanly once the faults are gone.
         let redo = store.commit("d", &batch).unwrap();
         assert_eq!(redo.live_facts, 2, "{tag}");
+        store.verify("d").unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+/// One fact rule for every dataset source: for each row, building a spec
+/// that carries it rejects exactly when committing it to a store does,
+/// with the same typed error, under both error models. A rejected commit
+/// writes nothing.
+#[test]
+fn spec_build_and_store_commit_agree_on_every_row() {
+    let _quiet = qrel_faults::quiesce();
+    let db = DatabaseBuilder::new()
+        .universe_size(3)
+        .relation("Admin", 1)
+        .relation("Knows", 2)
+        .tuples("Admin", [vec![0]])
+        .tuples("Knows", [vec![0, 1]])
+        .build();
+    let mut rows: Vec<(&str, Vec<u32>, &str)> = Vec::new();
+    for mu in ["-1/2", "3/2", "1/0", "x", "0", "1", "2/4"] {
+        rows.push(("Admin", vec![0], mu)); // observed
+        rows.push(("Admin", vec![2], mu)); // absent
+    }
+    rows.push(("Zed", vec![0], "1/2"));
+    rows.push(("Knows", vec![0], "1/2"));
+    rows.push(("Admin", vec![9], "1/2"));
+    for model in [ErrorModel::Full, ErrorModel::PositiveOnly] {
+        let dir = tmp(&format!("agree-{}", model.name()));
+        let base = UnreliableDatabaseSpec {
+            database: db.clone(),
+            model: model.name().to_string(),
+            errors: Vec::new(),
+        };
+        let mut store = Store::init(&dir).unwrap();
+        store.ingest_spec("d", &base).unwrap();
+        let mut rejected = 0;
+        for (relation, tuple, mu) in &rows {
+            let mut spec = base.clone();
+            spec.errors.push(ErrorSpec {
+                relation: relation.to_string(),
+                tuple: tuple.clone(),
+                mu: mu.to_string(),
+            });
+            let built = spec.build().err();
+            let present = relation == &"Knows" || tuple == &[0];
+            let before = store.dataset("d").unwrap().clone();
+            let committed =
+                match store.commit("d", &[Mutation::set(relation, tuple.clone(), present, mu)]) {
+                    Ok(_) => None,
+                    Err(StoreError::Invalid(e)) => Some(e),
+                    Err(e) => panic!("{relation}{tuple:?} μ={mu}: {e}"),
+                };
+            assert_eq!(built, committed, "{model:?}: {relation}{tuple:?} μ={mu}");
+            if committed.is_some() {
+                rejected += 1;
+                assert_eq!(store.dataset("d").unwrap(), &before);
+            }
+        }
+        // -1/2, 3/2, 1/0 and x on both facts, the three shape errors,
+        // and under positive-only the absent fact at μ ∈ {1, 2/4}.
+        let expected = if model == ErrorModel::Full { 11 } else { 13 };
+        assert_eq!(rejected, expected, "{model:?}");
         store.verify("d").unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
     }
