@@ -154,12 +154,7 @@ impl BigUint {
 
     /// Number of trailing zero bits; `None` for the value 0.
     pub fn trailing_zeros(&self) -> Option<u64> {
-        for (i, &l) in self.limbs.iter().enumerate() {
-            if l != 0 {
-                return Some(i as u64 * BASE_BITS as u64 + l.trailing_zeros() as u64);
-            }
-        }
-        None
+        limbs_trailing_zeros(&self.limbs)
     }
 
     /// `self + other`.
@@ -190,22 +185,8 @@ impl BigUint {
         if self < other {
             return None;
         }
-        let mut out = Vec::with_capacity(self.limbs.len());
-        let mut borrow: i64 = 0;
-        for i in 0..self.limbs.len() {
-            let a = self.limbs[i] as i64;
-            let b = other.limbs.get(i).copied().unwrap_or(0) as i64;
-            let mut d = a - b - borrow;
-            if d < 0 {
-                d += 1 << 32;
-                borrow = 1;
-            } else {
-                borrow = 0;
-            }
-            out.push(d as u32);
-        }
-        debug_assert_eq!(borrow, 0);
-        trim(&mut out);
+        let mut out = self.limbs.clone();
+        sub_in_place(&mut out, &other.limbs);
         Some(BigUint { limbs: out })
     }
 
@@ -282,6 +263,9 @@ impl BigUint {
     /// Panics if `divisor` is zero.
     pub fn div_rem(&self, divisor: &BigUint) -> (BigUint, BigUint) {
         assert!(!divisor.is_zero(), "division by zero BigUint");
+        if let (Some(a), Some(d)) = (self.to_u64(), divisor.to_u64()) {
+            return (BigUint::from_u64(a / d), BigUint::from_u64(a % d));
+        }
         match self.cmp(divisor) {
             Ordering::Less => return (BigUint::zero(), self.clone()),
             Ordering::Equal => return (BigUint::one(), BigUint::zero()),
@@ -401,20 +385,11 @@ impl BigUint {
     /// Right shift by an arbitrary number of bits.
     pub fn shr_bits(&self, bits: u64) -> BigUint {
         let limb_shift = (bits / BASE_BITS as u64) as usize;
-        let bit_shift = (bits % BASE_BITS as u64) as u32;
         if limb_shift >= self.limbs.len() {
             return BigUint::zero();
         }
-        let mut out: Vec<u32> = self.limbs[limb_shift..].to_vec();
-        if bit_shift > 0 {
-            let mut carry: u32 = 0;
-            for l in out.iter_mut().rev() {
-                let new = (*l >> bit_shift) | carry;
-                carry = *l << (32 - bit_shift);
-                *l = new;
-            }
-        }
-        trim(&mut out);
+        let mut out = self.limbs[limb_shift..].to_vec();
+        shr_in_place(&mut out, bits % BASE_BITS as u64);
         BigUint { limbs: out }
     }
 
@@ -435,34 +410,42 @@ impl BigUint {
     }
 
     /// Greatest common divisor (binary / Stein algorithm — no division).
+    ///
+    /// Narrow then wide: operands that fit a `u64` never touch the limb
+    /// code; once one side fits, one remainder pass over the other's
+    /// limbs (`gcd(a, b) = gcd(b, a mod b)`) brings both into a `u64`;
+    /// only two wide operands run the limb loop, in place.
     pub fn gcd(&self, other: &BigUint) -> BigUint {
-        if self.is_zero() {
-            return other.clone();
+        match (self.to_u64(), other.to_u64()) {
+            (Some(a), Some(b)) => return BigUint::from_u64(gcd_u64(a, b)),
+            (Some(0), None) => return other.clone(),
+            (None, Some(0)) => return self.clone(),
+            (Some(a), None) => return BigUint::from_u64(gcd_u64(a, rem_u64(&other.limbs, a))),
+            (None, Some(b)) => return BigUint::from_u64(gcd_u64(b, rem_u64(&self.limbs, b))),
+            (None, None) => {}
         }
-        if other.is_zero() {
-            return self.clone();
-        }
-        let mut a = self.clone();
-        let mut b = other.clone();
-        let za = a.trailing_zeros().unwrap();
-        let zb = b.trailing_zeros().unwrap();
+        let za = self.trailing_zeros().expect("wide operand is nonzero");
+        let zb = other.trailing_zeros().expect("wide operand is nonzero");
         let common = za.min(zb);
-        a = a.shr_bits(za);
-        b = b.shr_bits(zb);
-        // Both odd now.
+        let mut a = self.shr_bits(za).limbs;
+        let mut b = other.shr_bits(zb).limbs;
+        // Both odd now; keep `a >= b` and replace `a` by the odd part
+        // of `a - b` until the two meet or `b` fits a `u64`.
         loop {
-            match a.cmp(&b) {
-                Ordering::Equal => break,
-                Ordering::Less => std::mem::swap(&mut a, &mut b),
-                Ordering::Greater => {}
+            if cmp_limbs(&a, &b) == Ordering::Less {
+                std::mem::swap(&mut a, &mut b);
             }
-            a = a.checked_sub(&b).expect("a >= b by the swap above");
-            if a.is_zero() {
-                break;
+            if b.len() <= 2 {
+                let b = limbs_u64(&b);
+                return BigUint::from_u64(gcd_u64(b, rem_u64(&a, b))).shl_bits(common);
             }
-            a = a.shr_bits(a.trailing_zeros().unwrap());
+            if a == b {
+                return BigUint { limbs: b }.shl_bits(common);
+            }
+            sub_in_place(&mut a, &b);
+            let tz = limbs_trailing_zeros(&a).expect("odd minus smaller odd is nonzero");
+            shr_in_place(&mut a, tz);
         }
-        b.shl_bits(common)
     }
 
     /// Least common multiple. `lcm(0, x) = 0`.
@@ -477,19 +460,36 @@ impl BigUint {
     }
 
     /// Parse a decimal string (no sign).
+    ///
+    /// Narrow then wide: digits accumulate in a `u64` while the value
+    /// fits, and only the digits past that point run the limb code.
     pub fn parse_decimal(s: &str) -> Result<BigUint, ParseNumError> {
         if s.is_empty() {
             return Err(ParseNumError::new("empty string"));
         }
-        let mut acc = BigUint::zero();
-        let ten = BigUint::from_u32(10);
-        for c in s.chars() {
-            let d = c
-                .to_digit(10)
-                .ok_or_else(|| ParseNumError::new(format!("invalid digit {c:?}")))?;
-            acc = acc.mul_ref(&ten).add_ref(&BigUint::from_u32(d));
+        let mut chars = s.chars();
+        let mut small: u64 = 0;
+        while let Some(c) = chars.next() {
+            let d = decimal_digit(c)?;
+            match small
+                .checked_mul(10)
+                .and_then(|v| v.checked_add(u64::from(d)))
+            {
+                Some(v) => small = v,
+                None => {
+                    let ten = BigUint::from_u32(10);
+                    let mut acc = BigUint::from_u64(small)
+                        .mul_ref(&ten)
+                        .add_ref(&BigUint::from_u32(d));
+                    for c in chars {
+                        let d = decimal_digit(c)?;
+                        acc = acc.mul_ref(&ten).add_ref(&BigUint::from_u32(d));
+                    }
+                    return Ok(acc);
+                }
+            }
         }
-        Ok(acc)
+        Ok(BigUint::from_u64(small))
     }
 
     /// Best-effort conversion to `f64` (may overflow to `inf` for huge values).
@@ -517,20 +517,99 @@ fn trim(limbs: &mut Vec<u32>) {
     }
 }
 
+/// Compare two trimmed limb vectors.
+fn cmp_limbs(a: &[u32], b: &[u32]) -> Ordering {
+    a.len()
+        .cmp(&b.len())
+        .then_with(|| a.iter().rev().cmp(b.iter().rev()))
+}
+
+/// `a -= b` for trimmed limbs with `a >= b`.
+fn sub_in_place(a: &mut Vec<u32>, b: &[u32]) {
+    let mut borrow = false;
+    for (i, l) in a.iter_mut().enumerate() {
+        if i >= b.len() && !borrow {
+            break;
+        }
+        let rhs = u64::from(b.get(i).copied().unwrap_or(0)) + u64::from(borrow);
+        let (d, under) = u64::from(*l).overflowing_sub(rhs);
+        *l = d as u32;
+        borrow = under;
+    }
+    debug_assert!(!borrow, "sub_in_place needs a >= b");
+    trim(a);
+}
+
+/// `a >>= bits` for trimmed limbs.
+fn shr_in_place(a: &mut Vec<u32>, bits: u64) {
+    let limb_shift = ((bits / BASE_BITS as u64) as usize).min(a.len());
+    a.drain(..limb_shift);
+    let bit_shift = (bits % BASE_BITS as u64) as u32;
+    if bit_shift > 0 {
+        let mut carry: u32 = 0;
+        for l in a.iter_mut().rev() {
+            let new = (*l >> bit_shift) | carry;
+            carry = *l << (32 - bit_shift);
+            *l = new;
+        }
+    }
+    trim(a);
+}
+
+fn limbs_trailing_zeros(limbs: &[u32]) -> Option<u64> {
+    let i = limbs.iter().position(|&l| l != 0)?;
+    Some(i as u64 * BASE_BITS as u64 + u64::from(limbs[i].trailing_zeros()))
+}
+
+/// The value of at most two limbs.
+fn limbs_u64(limbs: &[u32]) -> u64 {
+    limbs
+        .iter()
+        .rev()
+        .fold(0, |acc, &l| (acc << BASE_BITS) | u64::from(l))
+}
+
+/// `limbs mod m` for `m > 0`, in one pass from the top limb.
+fn rem_u64(limbs: &[u32], m: u64) -> u64 {
+    match u32::try_from(m) {
+        Ok(m) => limbs
+            .iter()
+            .rev()
+            .fold(0, |r, &l| ((r << BASE_BITS) | u64::from(l)) % u64::from(m)),
+        Err(_) => limbs.iter().rev().fold(0, |r, &l| {
+            (((u128::from(r) << BASE_BITS) | u128::from(l)) % u128::from(m)) as u64
+        }),
+    }
+}
+
+/// Binary gcd of two machine words; `gcd(0, x) = x`.
+fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
+    if a == 0 || b == 0 {
+        return a | b;
+    }
+    let common = (a | b).trailing_zeros();
+    a >>= a.trailing_zeros();
+    loop {
+        b >>= b.trailing_zeros();
+        if a > b {
+            std::mem::swap(&mut a, &mut b);
+        }
+        b -= a;
+        if b == 0 {
+            return a << common;
+        }
+    }
+}
+
+/// The value of a decimal digit, or the parse error naming it.
+fn decimal_digit(c: char) -> Result<u32, ParseNumError> {
+    c.to_digit(10)
+        .ok_or_else(|| ParseNumError::new(format!("invalid digit {c:?}")))
+}
+
 impl Ord for BigUint {
     fn cmp(&self, other: &Self) -> Ordering {
-        match self.limbs.len().cmp(&other.limbs.len()) {
-            Ordering::Equal => {
-                for i in (0..self.limbs.len()).rev() {
-                    match self.limbs[i].cmp(&other.limbs[i]) {
-                        Ordering::Equal => continue,
-                        ord => return ord,
-                    }
-                }
-                Ordering::Equal
-            }
-            ord => ord,
-        }
+        cmp_limbs(&self.limbs, &other.limbs)
     }
 }
 
@@ -542,10 +621,10 @@ impl PartialOrd for BigUint {
 
 impl fmt::Display for BigUint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.is_zero() {
-            return write!(f, "0");
+        if let Some(v) = self.to_u64() {
+            return write!(f, "{v}");
         }
-        // Peel 9 decimal digits at a time.
+        // Wide: peel 9 decimal digits at a time.
         let mut chunks = Vec::new();
         let mut cur = self.clone();
         while !cur.is_zero() {

@@ -2,6 +2,7 @@
 
 use crate::{BigInt, BigUint, ParseNumError, Sign};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Add, Div, Mul, Neg, Sub};
@@ -137,19 +138,33 @@ impl BigRational {
 
     /// True iff `0 <= self <= 1`.
     pub fn is_probability(&self) -> bool {
-        !self.is_negative() && *self <= BigRational::one()
+        !self.is_negative() && self.numer.magnitude() <= &self.denom
     }
 
     pub fn add_ref(&self, other: &BigRational) -> BigRational {
-        // a/b + c/d = (a*d + c*b) / (b*d)
-        let bd = self.denom.mul_ref(&other.denom);
-        let ad = self
+        // a/b + c/d with g = gcd(b, d) (Knuth 4.5.1): t = a(d/g) + c(b/g)
+        // over (b/g)d, where only gcd(t, g) can still divide both.
+        let g = self.denom.gcd(&other.denom);
+        let b_g = div_exact(&self.denom, &g);
+        let d_g = div_exact(&other.denom, &g);
+        let t = self
             .numer
-            .mul_ref(&BigInt::from_biguint(other.denom.clone()));
-        let cb = other
-            .numer
-            .mul_ref(&BigInt::from_biguint(self.denom.clone()));
-        Self::new_raw(ad.add_ref(&cb), bd)
+            .mul_ref(&BigInt::from_biguint(d_g.into_owned()))
+            .add_ref(
+                &other
+                    .numer
+                    .mul_ref(&BigInt::from_biguint(b_g.clone().into_owned())),
+            );
+        if t.is_zero() {
+            return BigRational::zero();
+        }
+        let g2 = t.magnitude().gcd(&g);
+        let numer = div_exact(t.magnitude(), &g2).into_owned();
+        let denom = b_g.mul_ref(&div_exact(&other.denom, &g2));
+        BigRational {
+            numer: BigInt::from_sign_mag(t.sign(), numer),
+            denom,
+        }
     }
 
     pub fn sub_ref(&self, other: &BigRational) -> BigRational {
@@ -157,10 +172,7 @@ impl BigRational {
     }
 
     pub fn mul_ref(&self, other: &BigRational) -> BigRational {
-        Self::new_raw(
-            self.numer.mul_ref(&other.numer),
-            self.denom.mul_ref(&other.denom),
-        )
+        Self::mul_parts(&self.numer, &self.denom, &other.numer, &other.denom)
     }
 
     /// `self / other`.
@@ -169,16 +181,32 @@ impl BigRational {
     /// Panics if `other` is zero.
     pub fn div_ref(&self, other: &BigRational) -> BigRational {
         assert!(!other.is_zero(), "rational division by zero");
-        let numer = self
-            .numer
-            .mul_ref(&BigInt::from_biguint(other.denom.clone()));
-        let denom_mag = self.denom.mul_ref(other.numer.magnitude());
-        let numer = if other.numer.is_negative() {
-            numer.neg_ref()
-        } else {
-            numer
+        let reciprocal = BigInt::from_sign_mag(other.numer.sign(), other.denom.clone());
+        Self::mul_parts(
+            &self.numer,
+            &self.denom,
+            &reciprocal,
+            other.numer.magnitude(),
+        )
+    }
+
+    /// `(a/b)·(c/d)` for `a/b` in lowest terms and `gcd(c, d) = 1`,
+    /// `d > 0`. Cross-cancelling `g1 = gcd(a, d)` and `g2 = gcd(c, b)`
+    /// leaves the product in lowest terms, with no gcd of the products.
+    fn mul_parts(a: &BigInt, b: &BigUint, c: &BigInt, d: &BigUint) -> BigRational {
+        let sign = match (a.sign(), c.sign()) {
+            (Sign::Zero, _) | (_, Sign::Zero) => return BigRational::zero(),
+            (x, y) if x == y => Sign::Positive,
+            _ => Sign::Negative,
         };
-        Self::new_raw(numer, denom_mag)
+        let g1 = a.magnitude().gcd(d);
+        let g2 = c.magnitude().gcd(b);
+        let numer = div_exact(a.magnitude(), &g1).mul_ref(&div_exact(c.magnitude(), &g2));
+        let denom = div_exact(b, &g2).mul_ref(&div_exact(d, &g1));
+        BigRational {
+            numer: BigInt::from_sign_mag(sign, numer),
+            denom,
+        }
     }
 
     pub fn neg_ref(&self) -> BigRational {
@@ -190,7 +218,15 @@ impl BigRational {
 
     /// `1 - self`. Ubiquitous for flipping `μ` to `ν` and back.
     pub fn one_minus(&self) -> BigRational {
-        BigRational::one().sub_ref(self)
+        // (d − n)/d is in lowest terms: gcd(d − n, d) = gcd(n, d) = 1.
+        let numer = BigInt::from_biguint(self.denom.clone()).sub_ref(&self.numer);
+        if numer.is_zero() {
+            return BigRational::zero();
+        }
+        BigRational {
+            numer,
+            denom: self.denom.clone(),
+        }
     }
 
     /// Absolute value.
@@ -288,6 +324,17 @@ impl BigRational {
     /// Ceiling of the value as a `BigInt`.
     pub fn ceil(&self) -> BigInt {
         self.neg_ref().floor().neg_ref()
+    }
+}
+
+/// `x / g` for a divisor `g` of `x`, borrowing `x` when `g = 1`.
+fn div_exact<'a>(x: &'a BigUint, g: &BigUint) -> Cow<'a, BigUint> {
+    if g.is_one() {
+        Cow::Borrowed(x)
+    } else {
+        let (q, r) = x.div_rem(g);
+        debug_assert!(r.is_zero());
+        Cow::Owned(q)
     }
 }
 

@@ -365,16 +365,20 @@ impl UnreliableDatabase {
 
     /// `ν(fact)` — probability that the fact holds in the actual database.
     pub fn nu(&self, fact: &Fact) -> BigRational {
-        self.nu_at(self.indexer.index_of(fact))
+        self.nu_of(fact, self.mu(fact))
     }
 
     /// `ν` by dense fact index.
     pub fn nu_at(&self, index: usize) -> BigRational {
-        let fact = self.indexer.fact_at(index);
-        if self.observed.holds(&fact) {
-            self.mu[index].one_minus()
+        self.nu_of(&self.indexer.fact_at(index), &self.mu[index])
+    }
+
+    /// `ν(fact)` given `μ(fact)`: `1 − μ` for an observed fact, else `μ`.
+    fn nu_of(&self, fact: &Fact, mu: &BigRational) -> BigRational {
+        if self.observed.holds(fact) {
+            mu.one_minus()
         } else {
-            self.mu[index].clone()
+            mu.clone()
         }
     }
 

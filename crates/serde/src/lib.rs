@@ -4,9 +4,11 @@
 //! Instead of serde's visitor-based zero-copy architecture, this stub
 //! routes everything through one owned [`Value`] tree (the same shape
 //! `serde_json::Value` exposes): `Serialize` renders a type into a
-//! `Value`, `Deserialize` rebuilds a type from one. The `derive`
-//! feature re-exports proc macros from the local `serde_derive` crate
-//! that generate impls with serde's externally-tagged conventions, plus
+//! `Value`, `Deserialize` rebuilds a type from one, taking the tree by
+//! value so strings and vectors move out of it instead of being
+//! copied. The `derive` feature re-exports proc macros from the local
+//! `serde_derive` crate that generate impls with serde's
+//! externally-tagged conventions, plus
 //! the container attributes `#[serde(from = "...")]` /
 //! `#[serde(try_from = "...")]` and the field attributes
 //! `#[serde(default)]` / `#[serde(default = "path")]` that this
@@ -79,7 +81,7 @@ impl Value {
 }
 
 /// Last-wins field lookup in an object's pair list.
-pub fn field<'a>(pairs: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
+fn field<'a>(pairs: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
     pairs.iter().rev().find(|(k, _)| k == key).map(|(_, v)| v)
 }
 
@@ -165,9 +167,9 @@ pub trait Serialize {
     fn serialize_value(&self) -> Value;
 }
 
-/// Rebuild `Self` from the interchange [`Value`].
+/// Rebuild `Self` from the interchange [`Value`], consuming it.
 pub trait Deserialize: Sized {
-    fn deserialize_value(v: &Value) -> Result<Self, DeError>;
+    fn deserialize_value(v: Value) -> Result<Self, DeError>;
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
@@ -183,8 +185,8 @@ impl Serialize for Value {
 }
 
 impl Deserialize for Value {
-    fn deserialize_value(v: &Value) -> Result<Self, DeError> {
-        Ok(v.clone())
+    fn deserialize_value(v: Value) -> Result<Self, DeError> {
+        Ok(v)
     }
 }
 
@@ -195,9 +197,9 @@ impl Serialize for bool {
 }
 
 impl Deserialize for bool {
-    fn deserialize_value(v: &Value) -> Result<Self, DeError> {
+    fn deserialize_value(v: Value) -> Result<Self, DeError> {
         match v {
-            Value::Bool(b) => Ok(*b),
+            Value::Bool(b) => Ok(b),
             other => Err(DeError::custom(format!(
                 "expected bool, got {}",
                 other.kind()
@@ -214,9 +216,9 @@ macro_rules! int_impls {
             }
         }
         impl Deserialize for $t {
-            fn deserialize_value(v: &Value) -> Result<Self, DeError> {
+            fn deserialize_value(v: Value) -> Result<Self, DeError> {
                 match v {
-                    Value::Int(i) => <$t>::try_from(*i).map_err(|_| {
+                    Value::Int(i) => <$t>::try_from(i).map_err(|_| {
                         DeError::custom(format!(
                             "integer {} out of range for {}", i, stringify!($t)
                         ))
@@ -238,9 +240,9 @@ impl Serialize for u128 {
 }
 
 impl Deserialize for u128 {
-    fn deserialize_value(v: &Value) -> Result<Self, DeError> {
+    fn deserialize_value(v: Value) -> Result<Self, DeError> {
         match v {
-            Value::Int(i) if *i >= 0 => Ok(*i as u128),
+            Value::Int(i) if i >= 0 => Ok(i as u128),
             Value::Int(i) => Err(DeError::custom(format!(
                 "integer {i} out of range for u128"
             ))),
@@ -259,10 +261,10 @@ impl Serialize for f64 {
 }
 
 impl Deserialize for f64 {
-    fn deserialize_value(v: &Value) -> Result<Self, DeError> {
+    fn deserialize_value(v: Value) -> Result<Self, DeError> {
         match v {
-            Value::Float(x) => Ok(*x),
-            Value::Int(i) => Ok(*i as f64),
+            Value::Float(x) => Ok(x),
+            Value::Int(i) => Ok(i as f64),
             other => Err(DeError::custom(format!(
                 "expected number, got {}",
                 other.kind()
@@ -278,7 +280,7 @@ impl Serialize for f32 {
 }
 
 impl Deserialize for f32 {
-    fn deserialize_value(v: &Value) -> Result<Self, DeError> {
+    fn deserialize_value(v: Value) -> Result<Self, DeError> {
         f64::deserialize_value(v).map(|x| x as f32)
     }
 }
@@ -290,9 +292,9 @@ impl Serialize for String {
 }
 
 impl Deserialize for String {
-    fn deserialize_value(v: &Value) -> Result<Self, DeError> {
+    fn deserialize_value(v: Value) -> Result<Self, DeError> {
         match v {
-            Value::Str(s) => Ok(s.clone()),
+            Value::Str(s) => Ok(s),
             other => Err(DeError::custom(format!(
                 "expected string, got {}",
                 other.kind()
@@ -314,12 +316,12 @@ impl<T: Serialize> Serialize for Vec<T> {
 }
 
 impl<T: Deserialize> Deserialize for Vec<T> {
-    fn deserialize_value(v: &Value) -> Result<Self, DeError> {
-        let items = v
-            .as_array()
-            .ok_or_else(|| DeError::custom(format!("expected array, got {}", v.kind())))?;
+    fn deserialize_value(v: Value) -> Result<Self, DeError> {
+        let Value::Array(items) = v else {
+            return Err(DeError::custom(format!("expected array, got {}", v.kind())));
+        };
         items
-            .iter()
+            .into_iter()
             .enumerate()
             .map(|(i, item)| {
                 T::deserialize_value(item).map_err(|e| e.in_context(&format!("[{i}]")))
@@ -341,7 +343,7 @@ impl<T: Serialize + Ord> Serialize for BTreeSet<T> {
 }
 
 impl<T: Deserialize + Ord> Deserialize for BTreeSet<T> {
-    fn deserialize_value(v: &Value) -> Result<Self, DeError> {
+    fn deserialize_value(v: Value) -> Result<Self, DeError> {
         Ok(Vec::<T>::deserialize_value(v)?.into_iter().collect())
     }
 }
@@ -356,7 +358,7 @@ impl<T: Serialize> Serialize for Option<T> {
 }
 
 impl<T: Deserialize> Deserialize for Option<T> {
-    fn deserialize_value(v: &Value) -> Result<Self, DeError> {
+    fn deserialize_value(v: Value) -> Result<Self, DeError> {
         match v {
             Value::Null => Ok(None),
             other => T::deserialize_value(other).map(Some),
@@ -371,7 +373,7 @@ impl<T: Serialize> Serialize for Box<T> {
 }
 
 impl<T: Deserialize> Deserialize for Box<T> {
-    fn deserialize_value(v: &Value) -> Result<Self, DeError> {
+    fn deserialize_value(v: Value) -> Result<Self, DeError> {
         T::deserialize_value(v).map(Box::new)
     }
 }
@@ -384,16 +386,17 @@ macro_rules! tuple_impls {
             }
         }
         impl<$($name: Deserialize),+> Deserialize for ($($name,)+) {
-            fn deserialize_value(v: &Value) -> Result<Self, DeError> {
-                let items = v.as_array().ok_or_else(|| {
-                    DeError::custom(format!("expected array, got {}", v.kind()))
-                })?;
+            fn deserialize_value(v: Value) -> Result<Self, DeError> {
+                let Value::Array(items) = v else {
+                    return Err(DeError::custom(format!("expected array, got {}", v.kind())));
+                };
                 if items.len() != $len {
                     return Err(DeError::custom(format!(
                         "expected tuple of {} elements, got {}", $len, items.len()
                     )));
                 }
-                Ok(($($name::deserialize_value(&items[$idx])
+                let mut items = items.into_iter();
+                Ok(($($name::deserialize_value(items.next().expect("length checked"))
                     .map_err(|e| e.in_context(&format!("[{}]", $idx)))?,)+))
             }
         }
@@ -412,27 +415,24 @@ mod tests {
 
     #[test]
     fn primitives_roundtrip() {
-        assert_eq!(u32::deserialize_value(&7u32.serialize_value()).unwrap(), 7);
+        assert_eq!(u32::deserialize_value(7u32.serialize_value()).unwrap(), 7);
         assert_eq!(
-            String::deserialize_value(&"hi".serialize_value()).unwrap(),
+            String::deserialize_value("hi".serialize_value()).unwrap(),
             "hi"
         );
-        assert!(bool::deserialize_value(&Value::Int(1)).is_err());
-        assert!(u8::deserialize_value(&Value::Int(300)).is_err());
+        assert!(bool::deserialize_value(Value::Int(1)).is_err());
+        assert!(u8::deserialize_value(Value::Int(300)).is_err());
     }
 
     #[test]
     fn containers_roundtrip() {
         let v = vec![(1u32, true), (2, false)];
-        let round: Vec<(u32, bool)> = Deserialize::deserialize_value(&v.serialize_value()).unwrap();
+        let round: Vec<(u32, bool)> = Deserialize::deserialize_value(v.serialize_value()).unwrap();
         assert_eq!(round, v);
         let s: BTreeSet<u64> = [3, 1, 2].into_iter().collect();
-        let round: BTreeSet<u64> = Deserialize::deserialize_value(&s.serialize_value()).unwrap();
+        let round: BTreeSet<u64> = Deserialize::deserialize_value(s.serialize_value()).unwrap();
         assert_eq!(round, s);
-        assert_eq!(
-            Option::<u32>::deserialize_value(&Value::Null).unwrap(),
-            None
-        );
+        assert_eq!(Option::<u32>::deserialize_value(Value::Null).unwrap(), None);
     }
 
     #[test]

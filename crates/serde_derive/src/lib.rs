@@ -431,7 +431,7 @@ fn gen_deserialize(item: &Item) -> String {
         return format!(
             "#[automatically_derived]\n\
              impl ::serde::Deserialize for {name} {{\n\
-                 fn deserialize_value(v: &::serde::Value) \
+                 fn deserialize_value(v: ::serde::Value) \
                      -> ::std::result::Result<Self, ::serde::DeError> {{\n\
                      let raw: {raw} = ::serde::Deserialize::deserialize_value(v)?;\n\
                      ::std::result::Result::Ok(\
@@ -444,7 +444,7 @@ fn gen_deserialize(item: &Item) -> String {
         return format!(
             "#[automatically_derived]\n\
              impl ::serde::Deserialize for {name} {{\n\
-                 fn deserialize_value(v: &::serde::Value) \
+                 fn deserialize_value(v: ::serde::Value) \
                      -> ::std::result::Result<Self, ::serde::DeError> {{\n\
                      let raw: {raw} = ::serde::Deserialize::deserialize_value(v)?;\n\
                      <{name} as ::std::convert::TryFrom<{raw}>>::try_from(raw)\
@@ -457,9 +457,13 @@ fn gen_deserialize(item: &Item) -> String {
         Kind::Struct(fields) => {
             let build = gen_struct_build(name, fields, "pairs");
             format!(
-                "let pairs = v.as_object().ok_or_else(|| ::serde::DeError::custom(\
-                     ::std::format!(\"expected object for struct {name}, got {{}}\", v.kind())))?;\n\
-                 ::std::result::Result::Ok({build})"
+                "let pairs = match v {{\n\
+                     ::serde::Value::Object(pairs) => pairs,\n\
+                     other => return ::std::result::Result::Err(::serde::DeError::custom(\
+                         ::std::format!(\"expected object for struct {name}, got {{}}\", \
+                             other.kind()))),\n\
+                 }};\n\
+                 {build}"
             )
         }
         Kind::Enum(variants) => gen_enum_deserialize(name, variants),
@@ -467,7 +471,7 @@ fn gen_deserialize(item: &Item) -> String {
     format!(
         "#[automatically_derived]\n\
          impl ::serde::Deserialize for {name} {{\n\
-             fn deserialize_value(v: &::serde::Value) \
+             fn deserialize_value(v: ::serde::Value) \
                  -> ::std::result::Result<Self, ::serde::DeError> {{\n\
                  {body}\n\
              }}\n\
@@ -475,12 +479,33 @@ fn gen_deserialize(item: &Item) -> String {
     )
 }
 
-/// Struct-literal construction `Path { f: ..., ... }` reading each field
-/// from the object pair list named by `pairs_var`.
+/// `Ok(Path { f: ..., ... })` from the owned object pair list named by
+/// `pairs_var`: one pass moves each known key's value into its field's
+/// slot (a later duplicate key replaces an earlier one, so the last
+/// wins), then the fields deserialize in declaration order.
 fn gen_struct_build(path: &str, fields: &[Field], pairs_var: &str) -> String {
+    let slots = (0..fields.len())
+        .map(|i| {
+            format!(
+                "let mut __slot{i}: ::std::option::Option<::serde::Value> = \
+                 ::std::option::Option::None;\n"
+            )
+        })
+        .collect::<String>();
+    let arms = fields
+        .iter()
+        .enumerate()
+        .map(|(i, f)| {
+            format!(
+                "{n:?} => __slot{i} = ::std::option::Option::Some(fv),\n",
+                n = f.name
+            )
+        })
+        .collect::<String>();
     let inits = fields
         .iter()
-        .map(|f| {
+        .enumerate()
+        .map(|(i, f)| {
             let n = &f.name;
             let missing = match &f.default {
                 None => format!(
@@ -491,7 +516,7 @@ fn gen_struct_build(path: &str, fields: &[Field], pairs_var: &str) -> String {
                 Some(FieldDefault::Path(p)) => format!("{p}()"),
             };
             format!(
-                "{n}: match ::serde::field({pairs_var}, {n:?}) {{\n\
+                "{n}: match __slot{i} {{\n\
                      ::std::option::Option::Some(fv) => \
                          ::serde::Deserialize::deserialize_value(fv)\
                              .map_err(|e| e.in_context({n:?}))?,\n\
@@ -500,7 +525,16 @@ fn gen_struct_build(path: &str, fields: &[Field], pairs_var: &str) -> String {
             )
         })
         .collect::<String>();
-    format!("{path} {{ {inits} }}")
+    format!(
+        "{slots}\
+         for (key, fv) in {pairs_var} {{\n\
+             match key.as_str() {{\n\
+                 {arms}\
+                 _ => {{}}\n\
+             }}\n\
+         }}\n\
+         ::std::result::Result::Ok({path} {{ {inits} }})"
+    )
 }
 
 fn gen_enum_deserialize(name: &str, variants: &[Variant]) -> String {
@@ -533,7 +567,7 @@ fn gen_enum_deserialize(name: &str, variants: &[Variant]) -> String {
                      ::std::format!(\"unknown variant `{{other}}` of {name}\"))),\n\
              }},\n\
              ::serde::Value::Object(pairs) if pairs.len() == 1 => {{\n\
-                 let (tag, {content_binder}) = &pairs[0];\n\
+                 let (tag, {content_binder}) = pairs.into_iter().next().expect(\"one pair\");\n\
                  match tag.as_str() {{\n\
                      {content_arms}\n\
                      other => ::std::result::Result::Err(::serde::DeError::custom(\
@@ -557,24 +591,27 @@ fn gen_enum_content_arm(name: &str, v: &Variant) -> String {
         ),
         Shape::Tuple(n) => {
             let items = (0..*n)
-                .map(|i| {
+                .map(|_| {
                     format!(
-                        "::serde::Deserialize::deserialize_value(&items[{i}])\
+                        "::serde::Deserialize::deserialize_value(\
+                             items.next().expect(\"length checked\"))\
                          .map_err(|e| e.in_context({vn:?}))?,"
                     )
                 })
                 .collect::<String>();
             format!(
                 "{vn:?} => {{\n\
-                     let items = content.as_array().ok_or_else(|| \
-                         ::serde::DeError::custom(\
-                             \"expected array for tuple variant `{vn}`\"))?;\n\
+                     let ::serde::Value::Array(items) = content else {{\n\
+                         return ::std::result::Result::Err(::serde::DeError::custom(\
+                             \"expected array for tuple variant `{vn}`\"));\n\
+                     }};\n\
                      if items.len() != {n} {{\n\
                          return ::std::result::Result::Err(::serde::DeError::custom(\
                              ::std::format!(\
                                  \"expected {n} elements for variant `{vn}`, got {{}}\",\
                                  items.len())));\n\
                      }}\n\
+                     let mut items = items.into_iter();\n\
                      ::std::result::Result::Ok({name}::{vn}({items}))\n\
                  }}"
             )
@@ -583,10 +620,11 @@ fn gen_enum_content_arm(name: &str, v: &Variant) -> String {
             let build = gen_struct_build(&format!("{name}::{vn}"), fields, "inner");
             format!(
                 "{vn:?} => {{\n\
-                     let inner = content.as_object().ok_or_else(|| \
-                         ::serde::DeError::custom(\
-                             \"expected object for struct variant `{vn}`\"))?;\n\
-                     ::std::result::Result::Ok({build})\n\
+                     let ::serde::Value::Object(inner) = content else {{\n\
+                         return ::std::result::Result::Err(::serde::DeError::custom(\
+                             \"expected object for struct variant `{vn}`\"));\n\
+                     }};\n\
+                     {build}\n\
                  }}"
             )
         }

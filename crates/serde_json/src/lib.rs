@@ -92,12 +92,13 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T> {
 /// adversarial input (HTTP request bodies).
 pub fn from_str_with_limits<T: Deserialize>(s: &str, limits: ParseLimits) -> Result<T> {
     let value = parse_value_complete(s, limits)?;
-    Ok(T::deserialize_value(&value)?)
+    Ok(T::deserialize_value(value)?)
 }
 
-/// Convert an already-parsed [`Value`] into a deserializable type.
+/// Convert an already-parsed [`Value`] into a deserializable type,
+/// moving its strings and vectors rather than copying them.
 pub fn from_value<T: Deserialize>(v: Value) -> Result<T> {
-    Ok(T::deserialize_value(&v)?)
+    Ok(T::deserialize_value(v)?)
 }
 
 /// Serialize to compact JSON text.
@@ -414,6 +415,18 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote or backslash whole. Both
+            // are ASCII, so a run never splits a UTF-8 character.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(self.bytes.len() - self.pos);
+            if run > 0 {
+                let text = std::str::from_utf8(&self.bytes[self.pos..self.pos + run])
+                    .map_err(|_| Error::new("invalid UTF-8 in string"))?;
+                out.push_str(text);
+                self.pos += run;
+            }
             let Some(b) = self.peek() else {
                 return Err(Error::new("unterminated string"));
             };
@@ -459,20 +472,7 @@ impl<'a> Parser<'a> {
                         }
                     }
                 }
-                _ => {
-                    // Collect the full UTF-8 character starting here.
-                    let start = self.pos - 1;
-                    let rest = &self.bytes[start..];
-                    let len =
-                        utf8_len(rest[0]).ok_or_else(|| Error::new("invalid UTF-8 in string"))?;
-                    if rest.len() < len {
-                        return Err(Error::new("truncated UTF-8 in string"));
-                    }
-                    let s = std::str::from_utf8(&rest[..len])
-                        .map_err(|_| Error::new("invalid UTF-8 in string"))?;
-                    out.push_str(s);
-                    self.pos = start + len;
-                }
+                _ => unreachable!("a run stops only at a quote or a backslash"),
             }
         }
     }
@@ -491,10 +491,15 @@ impl<'a> Parser<'a> {
 
     fn parse_number(&mut self) -> Result<Value> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        let negative = self.peek() == Some(b'-');
+        if negative {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
+        // Integer digits accumulate in a `u64` while they fit.
+        let digits = self.pos;
+        let mut small = Some(0u64);
+        while let Some(d @ b'0'..=b'9') = self.peek() {
+            small = small.and_then(|v| v.checked_mul(10)?.checked_add(u64::from(d - b'0')));
             self.pos += 1;
         }
         let mut is_float = false;
@@ -515,6 +520,10 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
+        if let (false, true, Some(v)) = (is_float, self.pos > digits, small) {
+            let v = i128::from(v);
+            return Ok(Value::Int(if negative { -v } else { v }));
+        }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| Error::new("invalid number"))?;
         if !is_float {
@@ -525,16 +534,6 @@ impl<'a> Parser<'a> {
         text.parse::<f64>()
             .map(Value::Float)
             .map_err(|_| Error::new(format!("invalid number `{text}` at byte {start}")))
-    }
-}
-
-fn utf8_len(first: u8) -> Option<usize> {
-    match first {
-        0x00..=0x7F => Some(1),
-        0xC0..=0xDF => Some(2),
-        0xE0..=0xEF => Some(3),
-        0xF0..=0xF7 => Some(4),
-        _ => None,
     }
 }
 
@@ -617,6 +616,36 @@ mod tests {
         let v: Value = from_str(r#"{"a":[1,2],"b":{}}"#).unwrap();
         let pretty = to_string_pretty(&v).unwrap();
         assert_eq!(pretty, "{\n  \"a\": [\n    1,\n    2\n  ],\n  \"b\": {}\n}");
+    }
+
+    #[test]
+    fn string_runs_and_escapes_interleave() {
+        let v: Value = from_str(r#""plain é run\"q\\b\u00e9\n end😀""#).unwrap();
+        assert_eq!(v, Value::Str("plain é run\"q\\bé\n end😀".to_string()));
+        assert_eq!(
+            from_str::<Value>(r#""""#).unwrap(),
+            Value::Str(String::new())
+        );
+        assert!(from_str::<Value>(r#""open run"#).is_err());
+        assert!(from_str::<Value>(r#""bad \q escape""#).is_err());
+    }
+
+    #[test]
+    fn integers_on_both_sides_of_u64() {
+        let int = |text: &str| from_str::<Value>(text).unwrap();
+        assert_eq!(int("18446744073709551615"), Value::Int(u64::MAX as i128));
+        assert_eq!(int("18446744073709551616"), Value::Int(1 << 64));
+        assert_eq!(
+            int("-18446744073709551615"),
+            Value::Int(-(u64::MAX as i128))
+        );
+        assert_eq!(int("-18446744073709551616"), Value::Int(-(1 << 64)));
+        assert_eq!(int("-0"), Value::Int(0));
+        assert_eq!(int("007"), Value::Int(7));
+        assert_eq!(int("1e2"), Value::Float(100.0));
+        assert_eq!(int(&"9".repeat(40)), Value::Float(1e40));
+        assert!(from_str::<Value>("-").is_err());
+        assert!(from_str::<Value>("[-]").is_err());
     }
 
     #[test]

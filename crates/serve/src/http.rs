@@ -84,13 +84,16 @@ pub fn read_request(
         .map_err(HttpError::Io)?;
 
     // Accumulate until the blank line ending the head. Reads are small
-    // and bounded; the deadline covers a byte-at-a-time trickler.
+    // and bounded; the deadline covers a byte-at-a-time trickler. Each
+    // search starts where the previous one could no longer match.
     let mut buf: Vec<u8> = Vec::with_capacity(1024);
     let mut chunk = [0u8; 1024];
+    let mut searched = 0;
     let head_end = loop {
-        if let Some(pos) = find_head_end(&buf) {
+        if let Some(pos) = find_head_end(&buf, searched) {
             break pos;
         }
+        searched = buf.len().saturating_sub(3);
         if buf.len() > MAX_HEAD_BYTES {
             return Err(HttpError::BadRequest(format!(
                 "request head exceeds {MAX_HEAD_BYTES} bytes"
@@ -150,15 +153,21 @@ pub fn read_request(
         });
     }
 
-    let mut body = buf[head_end + 4..].to_vec();
-    while body.len() < content_length {
-        let n = stream.read(&mut chunk).map_err(io_error)?;
-        if n == 0 {
-            return Err(HttpError::BadRequest("connection closed mid-body".into()));
-        }
-        body.extend_from_slice(&chunk[..n]);
-    }
-    body.truncate(content_length);
+    // Past the guard, the declared length is the body's size: keep what
+    // arrived with the head and read the rest straight into place.
+    let early = &buf[head_end + 4..];
+    let early = &early[..early.len().min(content_length)];
+    let mut body = Vec::with_capacity(content_length);
+    body.extend_from_slice(early);
+    body.resize(content_length, 0);
+    stream
+        .read_exact(&mut body[early.len()..])
+        .map_err(|e| match e.kind() {
+            std::io::ErrorKind::UnexpectedEof => {
+                HttpError::BadRequest("connection closed mid-body".into())
+            }
+            _ => io_error(e),
+        })?;
 
     Ok(Request {
         method,
@@ -168,9 +177,13 @@ pub fn read_request(
     })
 }
 
-/// Byte offset of the `\r\n\r\n` head terminator, if present.
-fn find_head_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n")
+/// Byte offset of the `\r\n\r\n` head terminator, if one starts at or
+/// after `from`.
+fn find_head_end(buf: &[u8], from: usize) -> Option<usize> {
+    buf[from..]
+        .windows(4)
+        .position(|w| w == b"\r\n\r\n")
+        .map(|p| from + p)
 }
 
 /// An HTTP response about to be written. Extra headers ride in
@@ -256,12 +269,24 @@ mod tests {
 
     /// Run `read_request` against bytes written from a paired socket.
     fn parse(raw: &[u8], max_body: usize) -> Result<Request, HttpError> {
+        parse_in_writes(&[raw], max_body)
+    }
+
+    /// Run `read_request` against `pieces` written one `write` each,
+    /// with a pause between them so they arrive as separate reads.
+    fn parse_in_writes(pieces: &[&[u8]], max_body: usize) -> Result<Request, HttpError> {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let raw = raw.to_vec();
+        let pieces: Vec<Vec<u8>> = pieces.iter().map(|p| p.to_vec()).collect();
         let writer = std::thread::spawn(move || {
             let mut c = TcpStream::connect(addr).unwrap();
-            c.write_all(&raw).unwrap();
+            c.set_nodelay(true).unwrap();
+            for (i, piece) in pieces.iter().enumerate() {
+                if i > 0 {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                c.write_all(piece).unwrap();
+            }
             // Keep the socket open briefly so a short read sees EOF
             // only after all bytes arrived.
             c.shutdown(std::net::Shutdown::Write).unwrap();
@@ -298,6 +323,37 @@ mod tests {
         assert_eq!(req.header("x-qrel-tenant"), Some("acme"));
         assert_eq!(req.header("X-Qrel-Tenant"), Some("acme"));
         assert_eq!(req.header("absent"), None);
+    }
+
+    #[test]
+    fn body_arriving_in_many_small_writes_is_read_whole() {
+        let body: Vec<u8> = (0..3000u32).map(|i| b'a' + (i % 26) as u8).collect();
+        let head = format!(
+            "POST /v1/solve HTTP/1.1\r\nContent-Length: {}\r\n\r",
+            body.len()
+        );
+        // The head terminator straddles two writes; the body follows in
+        // 40-byte writes.
+        let mut pieces: Vec<&[u8]> = vec![head.as_bytes(), b"\n"];
+        pieces.extend(body.chunks(40));
+        let req = parse_in_writes(&pieces, 4096).unwrap();
+        assert_eq!(req.path, "/v1/solve");
+        assert_eq!(req.body, body);
+    }
+
+    #[test]
+    fn bytes_past_the_declared_length_are_dropped_and_a_short_body_is_an_error() {
+        let req = parse(b"POST / HTTP/1.1\r\nContent-Length: 3\r\n\r\nabcdef", 128).unwrap();
+        assert_eq!(req.body, b"abc");
+        let err = parse_in_writes(
+            &[b"POST / HTTP/1.1\r\nContent-Length: 9\r\n\r\nab", b"cd"],
+            128,
+        )
+        .unwrap_err();
+        assert!(
+            matches!(&err, HttpError::BadRequest(m) if m.contains("mid-body")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -133,3 +133,76 @@ fn atom_table_fresh_never_aliases() {
     assert_ne!(f2, user);
     assert_ne!(f1, f2);
 }
+
+#[test]
+fn nested_field_errors_keep_their_path_and_message() {
+    let spec = r#"{"database":{"vocab":{"symbols":[{"name":"E","arity":2}]},
+        "universe":{"names":["a","b"]},"relations":[{"arity":2,"tuples":[[0,1]]}]},
+        "errors":[{"relation":"E","tuple":[0,1],"mu":"1/2"},
+                  {"relation":"E","tuple":"x","mu":"1/3"}]}"#;
+    let err = serde_json::from_str::<qrel::prob::UnreliableDatabaseSpec>(spec).unwrap_err();
+    assert_eq!(
+        err.to_string(),
+        "errors: [1]: tuple: expected array, got string"
+    );
+    // A shadow type's refusal is wrapped in the same path.
+    let bad_tuple = spec
+        .replace(r#""tuples":[[0,1]]"#, r#""tuples":[[0,1,1]]"#)
+        .replace(r#""tuple":"x""#, r#""tuple":[1,0]"#);
+    let err = serde_json::from_str::<qrel::prob::UnreliableDatabaseSpec>(&bad_tuple).unwrap_err();
+    assert_eq!(
+        err.to_string(),
+        "database: relations: [0]: tuple of length 3 in a relation of arity 2"
+    );
+    let missing = r#"{"errors":[]}"#;
+    let err = serde_json::from_str::<qrel::prob::UnreliableDatabaseSpec>(missing).unwrap_err();
+    assert_eq!(err.to_string(), "missing field `database`");
+}
+
+#[test]
+fn duplicate_object_keys_resolve_last_wins() {
+    // The earlier value is never decoded, even when it is malformed.
+    let rel: Relation =
+        serde_json::from_str(r#"{"arity":"x","tuples":[[0]],"arity":2,"tuples":[[0,1]]}"#).unwrap();
+    assert_eq!(rel.arity(), 2);
+    assert!(rel.contains(&[0, 1]));
+    let e: qrel::prob::ErrorSpec =
+        serde_json::from_str(r#"{"relation":"E","tuple":[0],"mu":"1/2","mu":"1/3"}"#).unwrap();
+    assert_eq!(e.mu, "1/3");
+    // The later value decides failure too.
+    assert!(serde_json::from_str::<Relation>(r#"{"arity":2,"tuples":[[0,1]],"arity":1}"#).is_err());
+}
+
+#[test]
+fn try_from_shadows_reject_malformed_values_through_from_value() {
+    let good = DatabaseBuilder::new()
+        .universe_size(2)
+        .relation("E", 2)
+        .tuples("E", [vec![0, 1]])
+        .build();
+    let mut v = serde_json::json!({
+        "vocab": {"symbols": [{"name": "E", "arity": 2}]},
+        "universe": {"names": ["e0", "e1"]},
+        "relations": [{"arity": 2, "tuples": [[0, 1]]}]
+    });
+    assert_eq!(serde_json::from_value::<Database>(v.clone()).unwrap(), good);
+    v["relations"][0]["tuples"] = serde_json::json!([[0, 2]]);
+    let err = serde_json::from_value::<Database>(v).unwrap_err();
+    assert!(
+        err.to_string().contains("outside the universe of size 2"),
+        "{err}"
+    );
+
+    let zero = serde_json::json!({
+        "numer": {"sign": "Positive", "mag": {"limbs": [1]}},
+        "denom": {"limbs": [0, 0]}
+    });
+    let err = serde_json::from_value::<BigRational>(zero).unwrap_err();
+    assert_eq!(err.to_string(), "rational with zero denominator");
+    let reduced = serde_json::json!({
+        "numer": {"sign": "Negative", "mag": {"limbs": [6]}},
+        "denom": {"limbs": [4]}
+    });
+    let x = serde_json::from_value::<BigRational>(reduced).unwrap();
+    assert_eq!(x, BigRational::from_ratio(-3, 2));
+}
