@@ -10,11 +10,8 @@
 //!   coordinate system of the possible-world space Ω(𝔇);
 //! * [`datalog`] — a stratified Datalog engine with semi-naive evaluation,
 //!   since the paper explicitly covers Datalog and fixed-point queries
-//!   (they are polynomial-time evaluable, hence Theorem 5.12 applies);
-//! * [`algebra`] — relational-algebra operators (σ, π, ⋈, ∪, −) used by
-//!   the conjunctive-query planner in `qrel-eval`.
+//!   (they are polynomial-time evaluable, hence Theorem 5.12 applies).
 
-pub mod algebra;
 pub mod database;
 pub mod datalog;
 pub mod fact;

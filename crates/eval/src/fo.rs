@@ -71,8 +71,8 @@ const STACK_TUPLE: usize = 8;
 
 /// Resolve a constant name to an element: first as a universe element
 /// name, then as a numeric index. The one constant rule of every
-/// evaluator in the workspace (model checking, the conjunctive planner,
-/// grounding, the safe-plan and quantifier-free engines).
+/// evaluator in the workspace (model checking, grounding, the safe-plan
+/// and quantifier-free engines).
 pub fn resolve_const(db: &Database, name: &str) -> Result<Element, EvalError> {
     if let Some(e) = db.universe().lookup(name) {
         return Ok(e);

@@ -9,24 +9,18 @@
 //!   variables are atomic facts;
 //! * [`query`] — the [`query::Query`] trait unifying first-order queries,
 //!   Datalog queries and arbitrary polynomial-time evaluable predicates
-//!   (the generality Theorem 5.12 needs);
-//! * [`cq`] — a conjunctive-query planner compiling to σ/π/⋈ plans with
-//!   greedy join ordering over `qrel_db::algebra`.
+//!   (the generality Theorem 5.12 needs).
 
-pub mod cq;
 pub mod fo;
 pub mod ground;
 pub mod query;
 
-pub use cq::ConjunctiveQuery;
 pub use fo::{
     eval_formula, eval_sentence, query_answers, resolve_const, tuple_rank, CompiledFormula,
     EvalError,
 };
 pub use ground::{ground_existential, ground_existential_budgeted, GroundError, Grounding};
-pub use query::{
-    rank_difference, BoundQuery, BoxedQuery, CqQuery, DatalogQuery, FnQuery, FoQuery, Query,
-};
+pub use query::{rank_difference, BoundQuery, BoxedQuery, DatalogQuery, FnQuery, FoQuery, Query};
 
 use qrel_budget::{Exhausted, QrelError, Resource};
 

@@ -263,49 +263,6 @@ impl Query for FnQuery {
     }
 }
 
-/// A conjunctive query evaluated through the relational-algebra planner
-/// (`qrel_eval::cq`) — same answers as [`FoQuery`] on the same formula,
-/// usually much faster on selective queries.
-#[derive(Debug, Clone)]
-pub struct CqQuery {
-    compiled: crate::cq::ConjunctiveQuery,
-}
-
-impl CqQuery {
-    /// Compile from a conjunctive formula with an explicit free-variable
-    /// order.
-    pub fn new(formula: &Formula, free: &[String]) -> Result<Self, crate::cq::CqError> {
-        Ok(CqQuery {
-            compiled: crate::cq::ConjunctiveQuery::compile(formula, free)?,
-        })
-    }
-
-    /// Parse and compile.
-    pub fn parse(src: &str, free: &[&str]) -> Result<Self, crate::cq::CqError> {
-        let f = qrel_logic::parser::parse_formula(src)
-            .map_err(|e| crate::cq::CqError::Parse(e.to_string()))?;
-        let free: Vec<String> = free.iter().map(|s| s.to_string()).collect();
-        Self::new(&f, &free)
-    }
-}
-
-impl Query for CqQuery {
-    fn arity(&self) -> usize {
-        self.compiled.arity()
-    }
-
-    fn eval(&self, db: &Database, tuple: &[Element]) -> Result<bool, EvalError> {
-        Ok(self.answers(db)?.contains(tuple))
-    }
-
-    fn answers(&self, db: &Database) -> Result<Relation, EvalError> {
-        self.compiled.evaluate(db).map_err(|e| match e {
-            crate::cq::CqError::Eval(inner) => inner,
-            other => EvalError::UnknownRelation(other.to_string()),
-        })
-    }
-}
-
 /// Object-safe boxed query for heterogeneous collections.
 pub type BoxedQuery = Box<dyn Query + Send + Sync>;
 

@@ -18,7 +18,6 @@
 pub mod fol;
 pub mod mon2sat;
 pub mod parser;
-pub mod prenex;
 pub mod prop;
 pub mod threshold;
 pub mod vocab;

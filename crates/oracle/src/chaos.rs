@@ -185,7 +185,7 @@ pub fn latency_bound(plan: &FaultPlan, timeout_ms: u64) -> u64 {
             // Fires once per connection, before the solve even starts.
             bound += r.delay_ms * cap(1).max(1);
         } else if r.point == points::PAR_SHARD_STALL {
-            // Shards run serially under solver_threads=1; bounded by the
+            // Shards run serially (serve solves on one thread); bounded by the
             // rule's fire cap (the sampler never leaves this unlimited).
             bound += r.delay_ms * if r.max_fires == 0 { 8 } else { r.max_fires };
         } else if r.point.ends_with(".stall") {

@@ -165,6 +165,13 @@ impl std::error::Error for DeError {}
 /// Render `self` into the interchange [`Value`].
 pub trait Serialize {
     fn serialize_value(&self) -> Value;
+
+    /// `Some` when `self` already is a [`Value`], so a printer can walk
+    /// it in place instead of through the copy `serialize_value` makes.
+    #[doc(hidden)]
+    fn as_value(&self) -> Option<&Value> {
+        None
+    }
 }
 
 /// Rebuild `Self` from the interchange [`Value`], consuming it.
@@ -176,11 +183,19 @@ impl<T: Serialize + ?Sized> Serialize for &T {
     fn serialize_value(&self) -> Value {
         (**self).serialize_value()
     }
+
+    fn as_value(&self) -> Option<&Value> {
+        (**self).as_value()
+    }
 }
 
 impl Serialize for Value {
     fn serialize_value(&self) -> Value {
         self.clone()
+    }
+
+    fn as_value(&self) -> Option<&Value> {
+        Some(self)
     }
 }
 

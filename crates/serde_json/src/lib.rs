@@ -7,6 +7,7 @@
 //! escapes and surrogate pairs); printing matches serde_json's compact
 //! and 2-space-indented pretty conventions.
 
+use std::borrow::Cow;
 use std::fmt;
 
 pub use serde::Value;
@@ -101,11 +102,17 @@ pub fn from_value<T: Deserialize>(v: Value) -> Result<T> {
     Ok(T::deserialize_value(v)?)
 }
 
+/// The value tree to print: borrowed when `x` already is a [`Value`].
+fn value_of<T: Serialize + ?Sized>(x: &T) -> Cow<'_, Value> {
+    x.as_value()
+        .map_or_else(|| Cow::Owned(x.serialize_value()), Cow::Borrowed)
+}
+
 /// Serialize to compact JSON text.
 #[allow(clippy::unnecessary_wraps)] // upstream-compatible signature
 pub fn to_string<T: Serialize + ?Sized>(x: &T) -> Result<String> {
     let mut out = String::new();
-    write_compact(&x.serialize_value(), &mut out);
+    write_compact(&value_of(x), &mut out);
     Ok(out)
 }
 
@@ -113,7 +120,7 @@ pub fn to_string<T: Serialize + ?Sized>(x: &T) -> Result<String> {
 #[allow(clippy::unnecessary_wraps)] // upstream-compatible signature
 pub fn to_string_pretty<T: Serialize + ?Sized>(x: &T) -> Result<String> {
     let mut out = String::new();
-    write_pretty(&x.serialize_value(), 0, &mut out);
+    write_pretty(&value_of(x), 0, &mut out);
     Ok(out)
 }
 
@@ -564,6 +571,14 @@ macro_rules! json {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_value_is_printed_in_place() {
+        let v = json!({"a": [1, "x"]});
+        assert!(matches!(value_of(&v), Cow::Borrowed(b) if std::ptr::eq(b, &v)));
+        assert!(matches!(value_of(&&v), Cow::Borrowed(b) if std::ptr::eq(b, &v)));
+        assert!(matches!(value_of(&7u32), Cow::Owned(Value::Int(7))));
+    }
 
     #[test]
     fn roundtrip_basic_values() {

@@ -73,10 +73,6 @@ pub struct ServerConfig {
     pub read_timeout: Duration,
     /// Budget deadline applied when a request carries no `timeout_ms`.
     pub default_timeout_ms: u64,
-    /// Threads each solve may use. Defaults to 1: under concurrent load
-    /// parallelism comes from the worker pool, not from intra-solve
-    /// sharding (the answer is identical either way — see `qrel_par`).
-    pub solver_threads: usize,
     /// How long a graceful shutdown waits for in-flight solves before
     /// cancelling their budgets.
     pub shutdown_grace: Duration,
@@ -123,7 +119,6 @@ impl Default for ServerConfig {
             max_body_bytes: 1024 * 1024,
             read_timeout: Duration::from_secs(5),
             default_timeout_ms: 30_000,
-            solver_threads: 1,
             shutdown_grace: Duration::from_secs(30),
             preload: Vec::new(),
             breaker_threshold: 5,
@@ -319,7 +314,6 @@ struct ExecCtx {
     metrics: Metrics,
     /// Per-method circuit breakers (no-ops when `self_heal` is off).
     breakers: Breakers,
-    solver_threads: usize,
     self_heal: bool,
 }
 
@@ -328,6 +322,10 @@ struct ExecCtx {
 /// a watchdog overrun, or a forced drain), breaker accounting, and
 /// result caching.
 fn execute_solve(ctx: &ExecCtx, task: &SolveTask, job: &JobCtx) -> SolveOutcome {
+    // Under concurrent load parallelism comes from the worker pool, not
+    // from intra-solve sharding (the answer is identical either way —
+    // see `qrel_par`).
+    const SOLVER_THREADS: usize = 1;
     let budget = Budget::with_deadline_from_now(Duration::from_millis(task.timeout_ms))
         .with_cancel_token(job.token().clone());
     let reporter = job.progress_reporter();
@@ -335,7 +333,7 @@ fn execute_solve(ctx: &ExecCtx, task: &SolveTask, job: &JobCtx) -> SolveOutcome 
         .with_method(task.method)
         .with_accuracy(task.eps, task.delta)
         .with_seed(task.seed)
-        .with_threads(ctx.solver_threads)
+        .with_threads(SOLVER_THREADS)
         .with_progress(ProgressHook::new(move |ev| {
             reporter(format!(
                 "rung {}/{} {} attempt {}: {}",
@@ -652,7 +650,6 @@ impl Server {
             plan_cache: PlanCache::new(),
             metrics: Metrics::new(),
             breakers,
-            solver_threads: config.solver_threads,
             self_heal: config.self_heal,
         });
         // `sched_workers == 0` mirrors the HTTP pool so a facade worker

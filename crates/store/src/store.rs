@@ -1,7 +1,7 @@
 //! The store itself: open/init, batched commits, lazy reads, recovery,
 //! and compaction.
 
-use crate::hash::{base_hash, fact_state_hash};
+use crate::hash::{base_hash, db_hash_of, fact_state_hash, live_fact_count};
 use crate::manifest::{
     manifest_path, read_manifest, segments_dir, write_manifest, DatasetEntry, Manifest, RelDecl,
     SegmentRef,
@@ -206,40 +206,6 @@ impl StoredDataset {
             .get(tuple)
             .cloned()
             .unwrap_or(DEFAULT_STATE))
-    }
-
-    /// Recompute the db-hash from the merged state (bit-identical to
-    /// the incrementally maintained value — tests and `verify` pin it).
-    pub fn recompute_hash(&mut self) -> Result<u64, StoreError> {
-        let universe = self.entry.universe.clone();
-        let relations: Vec<(String, usize)> = self
-            .entry
-            .relations
-            .iter()
-            .map(|r| (r.name.clone(), r.arity as usize))
-            .collect();
-        let mut h = base_hash(&universe, &relations, &self.entry.model);
-        for (name, _) in &relations {
-            for (tuple, state) in self.relation_state(name)? {
-                h ^= state_hash(name, tuple, state);
-            }
-        }
-        Ok(h)
-    }
-
-    /// Count of non-default facts in the merged state.
-    pub fn live_facts(&mut self) -> Result<u64, StoreError> {
-        let names: Vec<String> = self
-            .entry
-            .relations
-            .iter()
-            .map(|r| r.name.clone())
-            .collect();
-        let mut live = 0u64;
-        for name in names {
-            live += self.relation_state(&name)?.len() as u64;
-        }
-        Ok(live)
     }
 
     /// Reconstruct the full [`UnreliableDatabase`] model: every merged
@@ -469,22 +435,22 @@ impl Store {
 
     /// Full-integrity pass over one dataset: every page checksum, every
     /// merged row through the fact rule (the build boot runs), plus the
-    /// manifest's incremental db-hash and live-fact count against a
-    /// from-scratch recomputation.
+    /// manifest's incremental db-hash and live-fact count against
+    /// [`db_hash_of`] and [`live_fact_count`] of the built model.
     pub fn verify(&self, name: &str) -> Result<(), StoreError> {
         let mut ds = self.load(name)?;
         for bytes in &ds.segments {
             verify_pages(bytes).map_err(|e| StoreError::Corrupt(e.to_string()))?;
         }
-        ds.build()?;
-        let recomputed = ds.recompute_hash()?;
+        let ud = ds.build()?;
+        let recomputed = db_hash_of(&ud);
         if recomputed != ds.entry.db_hash {
             return Err(StoreError::Corrupt(format!(
                 "db-hash drift in {name:?}: manifest {:#x}, recomputed {recomputed:#x}",
                 ds.entry.db_hash
             )));
         }
-        let live = ds.live_facts()?;
+        let live = live_fact_count(&ud);
         if live != ds.entry.live_facts {
             return Err(StoreError::Corrupt(format!(
                 "live-fact drift in {name:?}: manifest {}, recomputed {live}",
@@ -781,7 +747,7 @@ impl Store {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hash::{db_hash_of, fact_state_hash};
+    use crate::hash::fact_state_hash;
     use qrel_arith::BigRational;
     use qrel_db::{DatabaseBuilder, Fact};
 
@@ -953,7 +919,11 @@ mod tests {
             .create_dataset("d", vec!["e0".into()], vec![("S".into(), 1)], "full")
             .unwrap();
         // A segment no commit can write any more, with a manifest that
-        // agrees with it on hash, live count and length.
+        // agrees with it on hash, live count and length: the empty
+        // dataset's hash is the from-scratch one, and the row's state
+        // hash is XORed in as a commit would.
+        let empty = store.load("d").unwrap().build().unwrap();
+        assert_eq!(store.dataset("d").unwrap().db_hash, db_hash_of(&empty));
         let image = encode_segment(&[RelationBlock {
             relation: "S".into(),
             arity: 1,
@@ -977,10 +947,6 @@ mod tests {
         e.next_seq = 1;
         write_manifest(&dir, &store.manifest).unwrap();
         let store = Store::open(&dir).unwrap();
-        assert_eq!(
-            store.load("d").unwrap().recompute_hash().unwrap(),
-            store.dataset("d").unwrap().db_hash
-        );
         for result in [
             store.verify("d"),
             store.load("d").unwrap().build().map(|_| ()),
@@ -991,6 +957,37 @@ mod tests {
             }
         }
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Ingest the sample spec, rewrite its manifest entry with `tamper`,
+    /// reopen, and return the `Corrupt` message `verify` reports.
+    fn verify_error_after_tampering(tag: &str, tamper: impl FnOnce(&mut DatasetEntry)) -> String {
+        let _quiet = qrel_faults::quiesce();
+        let dir = tmp_dir(tag);
+        let mut store = Store::init(&dir).unwrap();
+        store.ingest_spec("d", &sample_spec()).unwrap();
+        store.verify("d").unwrap();
+        tamper(store.manifest.dataset_mut("d").unwrap());
+        write_manifest(&dir, &store.manifest).unwrap();
+        let store = Store::open(&dir).unwrap();
+        let result = store.verify("d");
+        fs::remove_dir_all(&dir).unwrap();
+        match result {
+            Err(StoreError::Corrupt(m)) => m,
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn verify_rejects_a_tampered_manifest_db_hash() {
+        let m = verify_error_after_tampering("drift-hash", |e| e.db_hash ^= 1);
+        assert!(m.starts_with("db-hash drift in \"d\""), "{m}");
+    }
+
+    #[test]
+    fn verify_rejects_a_tampered_manifest_live_fact_count() {
+        let m = verify_error_after_tampering("drift-live", |e| e.live_facts += 1);
+        assert!(m.starts_with("live-fact drift in \"d\""), "{m}");
     }
 
     #[test]
@@ -1007,7 +1004,7 @@ mod tests {
         });
         let ud = spec.build().unwrap();
         let stats = store.ingest_spec("d", &spec).unwrap();
-        assert_eq!(stats.live_facts, crate::hash::live_fact_count(&ud));
+        assert_eq!(stats.live_facts, live_fact_count(&ud));
         assert_eq!(stats.live_facts, 5);
         assert_eq!(stats.db_hash, db_hash_of(&ud));
         store.verify("d").unwrap();

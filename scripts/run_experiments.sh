@@ -1,16 +1,21 @@
 #!/usr/bin/env bash
 # Regenerate every experiment in DESIGN.md §7 and store outputs under
 # target/experiments/. EXPERIMENTS.md records a snapshot of these.
+#
+# The experiment list is the `e<N>_…` [[bin]] names declared in
+# crates/bench/Cargo.toml, run in numeric order, so adding or retiring
+# an experiment is an edit to that manifest alone.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 mkdir -p target/experiments
-experiments=(
-  e1_qf_polytime e2_mon2sat_hardness e3_exact_fp_sharp_p e4_karp_luby
-  e5_prob_kdnf e6_existential_fptras e7_four_colour e8_ptime_estimator
-  e9_metafinite e10_crossover e11_positive_only e12_cq_planner
-  e13_expression_complexity e14_serve_throughput e15_job_scheduler
-  e16_fault_storm e17_store_scale e18_safe_plan
+mapfile -t experiments < <(
+  sed -n 's/^name = "\(e[0-9][0-9]*_[A-Za-z0-9_]*\)"$/\1/p' crates/bench/Cargo.toml \
+    | sort -t_ -k1.2,1n
 )
+if [ "${#experiments[@]}" -eq 0 ]; then
+  echo "no e<N>_… [[bin]] entries found in crates/bench/Cargo.toml" >&2
+  exit 1
+fi
 for e in "${experiments[@]}"; do
   echo "== $e =="
   cargo run --release -q -p qrel-bench --features experiments --bin "$e" \
