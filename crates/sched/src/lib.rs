@@ -905,8 +905,9 @@ fn worker_loop<P: Send + 'static, R: Send + Sync + 'static>(
                 if let Some(grp) = st.groups.get_mut(&group_id) {
                     grp.progress = msg;
                 }
-                drop(st);
-                progress_inner.done_cv.notify_all();
+                // No `done_cv` notify: `wait` returns only on a terminal
+                // state, so waking its callers here would wake them for
+                // nothing. Status reads see the message under the lock.
             }),
         };
         let outcome = catch_unwind(AssertUnwindSafe(|| exec(&payload, &ctx)));

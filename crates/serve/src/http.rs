@@ -257,8 +257,10 @@ pub fn write_response(stream: &mut TcpStream, resp: &Response) {
         head.push_str("\r\n");
     }
     head.push_str("\r\n");
-    let _ = stream.write_all(head.as_bytes());
-    let _ = stream.write_all(&resp.body);
+    // Head and body in one buffer, so the response is one write.
+    let mut wire = head.into_bytes();
+    wire.extend_from_slice(&resp.body);
+    let _ = stream.write_all(&wire);
     let _ = stream.flush();
 }
 
@@ -403,5 +405,26 @@ mod tests {
         let err = read_request(&mut conn, 128, Duration::from_millis(50)).unwrap_err();
         assert!(matches!(err, HttpError::Timeout), "{err}");
         client.join().unwrap();
+    }
+
+    #[test]
+    fn response_wire_bytes_are_head_then_body() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let reader = std::thread::spawn(move || {
+            let mut c = TcpStream::connect(addr).unwrap();
+            let mut wire = Vec::new();
+            c.read_to_end(&mut wire).unwrap();
+            wire
+        });
+        let (mut conn, _) = listener.accept().unwrap();
+        let resp = Response::json(429, "{}").with_header("Retry-After", "3");
+        write_response(&mut conn, &resp);
+        drop(conn);
+        assert_eq!(
+            String::from_utf8(reader.join().unwrap()).unwrap(),
+            "HTTP/1.1 429 Too Many Requests\r\nContent-Type: application/json\r\n\
+             Content-Length: 2\r\nConnection: close\r\nRetry-After: 3\r\n\r\n{}"
+        );
     }
 }

@@ -43,6 +43,7 @@
 //!   in-flight budgets through the shared
 //!   [`qrel_budget::CancelToken`].
 
+mod accept;
 pub mod cache;
 pub mod health;
 pub mod http;

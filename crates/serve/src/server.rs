@@ -4,9 +4,10 @@
 //! ## Threading model
 //!
 //! - The acceptor (the caller of [`Server::run`]) accepts connections
-//!   and offers them to the bounded admission queue, without parsing.
-//!   A full queue gets `429 Too Many Requests` (with `Retry-After`) and
-//!   a close — backpressure instead of unbounded buffering.
+//!   as they arrive (it blocks in `poll(2)` between them) and offers
+//!   them to the bounded admission queue, without parsing. A full queue
+//!   gets `429 Too Many Requests` (with `Retry-After`) and a close —
+//!   backpressure instead of unbounded buffering.
 //! - `workers` HTTP threads pop connections, read each request under a
 //!   read deadline (a stalled client trips `408`), route it, and write
 //!   the response. Solves go to the scheduler; the synchronous facade
@@ -21,14 +22,17 @@
 //!
 //! [`ServerHandle::shutdown`] (or SIGTERM/ctrl-c once
 //! [`install_shutdown_signals`] ran) flips a flag the acceptor checks
-//! between accepts: it stops accepting, closes the queue, and workers
-//! drain what was already admitted — nobody is killed mid-solve. If the
-//! drain outlives `shutdown_grace`, [`Scheduler::abort`] cancels the
-//! queued jobs and fires every running solve's token; the solves unwind
-//! cooperatively through the latched-trip machinery, still producing
-//! (degraded) responses.
+//! between accepts; the handle also wakes the acceptor's wait, and the
+//! wait's timeout bounds how late a signal is seen. The acceptor then
+//! stops accepting, closes the queue, and workers drain what was
+//! already admitted — nobody is killed mid-solve. If the drain outlives
+//! `shutdown_grace`, [`Scheduler::abort`] cancels the queued jobs and
+//! fires every running solve's token; the solves unwind cooperatively
+//! through the latched-trip machinery, still producing (degraded)
+//! responses.
 
 use std::collections::{HashMap, VecDeque};
+use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -45,6 +49,7 @@ use qrel_store::{db_hash_of, live_fact_count, Mutation, Store, StoreError};
 use serde::Value;
 use serde_json::ParseLimits;
 
+use crate::accept::{self, Wake};
 use crate::cache::{CacheKey, PlanCache, PlanStatus, ResultCache};
 use crate::health::{compute_retry_after, Admission, Breakers, HealthState, RateEstimator};
 use crate::http::{read_request, write_response, HttpError, Request, Response};
@@ -410,6 +415,8 @@ struct Shared {
     store: Option<Mutex<Store>>,
     queue: AdmissionQueue,
     shutdown: AtomicBool,
+    /// Ends the acceptor's wait when `shutdown` is set.
+    wake: Wake,
     /// Recent connection drain rate, for the dynamic `Retry-After`.
     drain_rate: RateEstimator,
     exec: Arc<ExecCtx>,
@@ -429,6 +436,7 @@ impl ServerHandle {
     /// [`Server::run`].
     pub fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shared.wake.wake();
         self.shared.queue.close();
     }
 
@@ -533,7 +541,8 @@ fn render_metrics(shared: &Shared) -> String {
 mod signals {
     use std::sync::atomic::{AtomicBool, Ordering};
 
-    /// Set from the signal handler; polled by the accept loop.
+    /// Set from the signal handler; the accept loop reads it at least
+    /// every `accept::SIGNAL_CHECK`.
     static REQUESTED: AtomicBool = AtomicBool::new(false);
 
     extern "C" fn on_signal(_sig: i32) {
@@ -679,6 +688,7 @@ impl Server {
                 store,
                 queue,
                 shutdown: AtomicBool::new(false),
+                wake: Wake::new()?,
                 drain_rate: RateEstimator::new(),
                 exec,
                 sched,
@@ -763,11 +773,10 @@ impl Server {
             None
         };
 
-        // Accept loop. The listener is non-blocking so the shutdown
-        // flag (local or signal-driven) is observed within ~1ms. The
-        // idle poll is the floor on cold-connection latency (E14
-        // measured ~5ms p50 with a 5ms poll — entirely this sleep), so
-        // it is kept tight; 1k wakeups/s when idle is noise.
+        // Accept loop. The listener is non-blocking: take every pending
+        // connection, then wait in `accept::wait` until the next one
+        // lands or `ServerHandle::shutdown` fires the wake, so a request
+        // is accepted the moment it arrives and an idle acceptor sleeps.
         loop {
             if shared.shutdown.load(Ordering::SeqCst) || signals::requested() {
                 break;
@@ -777,13 +786,17 @@ impl Server {
                     Ok(depth) => shared.exec.metrics.set_queue_depth(depth),
                     Err(conn) => reject_connection(&shared, conn),
                 },
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                Err(_) => {
-                    // A failed accept (e.g. a reset mid-handshake) is
-                    // the client's problem; keep serving.
-                }
+                Err(e) => match e.kind() {
+                    ErrorKind::WouldBlock => {
+                        accept::wait(&self.listener, &shared.wake, accept::SIGNAL_CHECK);
+                    }
+                    // A handshake the client reset, or an interrupted
+                    // call: accept again.
+                    ErrorKind::ConnectionAborted | ErrorKind::Interrupted => {}
+                    // Out of descriptors or memory: the connection stays
+                    // pending, so back off instead of spinning on it.
+                    _ => std::thread::sleep(accept::ERROR_PAUSE),
+                },
             }
         }
 

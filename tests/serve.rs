@@ -647,3 +647,128 @@ fn binary_sigterm_during_long_solve_forces_drain_and_exits_3() {
     // exit (0) the idle test above observes.
     assert_eq!(status.code(), Some(3), "exit status: {status:?}");
 }
+
+/// `ServerHandle::shutdown` wakes an acceptor that is waiting for a
+/// connection: `Server::run` returns promptly instead of after a poll
+/// period. The watchdog is off so its sleep does not pad the drain.
+#[test]
+fn shutdown_of_an_idle_server_returns_from_run_within_a_second() {
+    let server = Server::bind(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 1,
+        self_heal: false,
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let handle = server.handle();
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let join = std::thread::spawn(move || {
+        let report = server.run();
+        let _ = done_tx.send(());
+        report
+    });
+    // Let the acceptor settle into its wait.
+    std::thread::sleep(Duration::from_millis(200));
+    handle.shutdown();
+    done_rx
+        .recv_timeout(Duration::from_secs(1))
+        .expect("Server::run did not return within 1 s of shutdown");
+    let report = join.join().unwrap().unwrap();
+    assert!(!report.forced, "{report:?}");
+}
+
+/// Utime + stime of `pid` in clock ticks (fields 14 and 15 of
+/// `/proc/<pid>/stat`, counted after the parenthesised command name).
+#[cfg(target_os = "linux")]
+fn cpu_ticks(pid: u32) -> u64 {
+    let stat = std::fs::read_to_string(format!("/proc/{pid}/stat")).unwrap();
+    let after_comm = &stat[stat.rfind(')').unwrap() + 2..];
+    let fields: Vec<&str> = after_comm.split_whitespace().collect();
+    // `after_comm` starts at field 3 (state), so field k is at k - 3.
+    fields[11].parse::<u64>().unwrap() + fields[12].parse::<u64>().unwrap()
+}
+
+/// Out of descriptors, `accept` fails while the connection stays
+/// pending, so the listener stays readable: the acceptor must back off
+/// instead of burning a core, and serve again once descriptors free up.
+#[cfg(target_os = "linux")]
+#[test]
+fn binary_backs_off_when_accept_runs_out_of_descriptors() {
+    use std::process::{Command, Stdio};
+    use std::time::Instant;
+
+    const FD_LIMIT: usize = 64;
+    let mut child = Command::new("sh")
+        .args([
+            "-c",
+            &format!("ulimit -n {FD_LIMIT}; exec \"$0\" serve --addr 127.0.0.1:0 --workers 1 --queue-cap 256"),
+            env!("CARGO_BIN_EXE_qrel"),
+        ])
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let pid = child.id();
+    // A failed assertion must not leave the server running.
+    struct KillOnDrop(std::process::Child);
+    impl Drop for KillOnDrop {
+        fn drop(&mut self) {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+    let stdout = child.stdout.take().unwrap();
+    let mut child = KillOnDrop(child);
+    let mut lines = BufReader::new(stdout).lines();
+    let banner = lines.next().unwrap().unwrap();
+    let addr: SocketAddr = banner
+        .rsplit("http://")
+        .next()
+        .unwrap()
+        .trim()
+        .parse()
+        .unwrap_or_else(|_| panic!("unparseable banner: {banner}"));
+
+    // Idle connections: the one worker blocks reading the first, the
+    // queue holds the rest, and the server's descriptor table fills.
+    let held: Vec<TcpStream> = (0..FD_LIMIT + 32)
+        .map(|_| TcpStream::connect(addr).unwrap())
+        .collect();
+    let fd_dir = format!("/proc/{pid}/fd");
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while std::fs::read_dir(&fd_dir).unwrap().count() < FD_LIMIT {
+        assert!(
+            Instant::now() < deadline,
+            "server never ran out of descriptors"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    // Now every accept fails with EMFILE and a connection is pending.
+    let before = cpu_ticks(pid);
+    std::thread::sleep(Duration::from_secs(1));
+    let spent = cpu_ticks(pid) - before;
+    // Clock ticks are 1/100 s: half a second of CPU in one second of
+    // wall time would be a spinning acceptor.
+    assert!(spent < 50, "acceptor spun: {spent} ticks of CPU in 1 s");
+
+    drop(held);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let (status, _, body) = http(addr, "GET", "/healthz", "");
+        if status == 200 {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "/healthz never recovered: {status} {body}"
+        );
+        std::thread::sleep(Duration::from_millis(50));
+    }
+
+    let term = Command::new("kill")
+        .args(["-TERM", &pid.to_string()])
+        .status()
+        .unwrap();
+    assert!(term.success());
+    let status = child.0.wait().unwrap();
+    assert!(status.success(), "exit status: {status:?}");
+}
