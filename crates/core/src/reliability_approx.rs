@@ -88,7 +88,7 @@ pub enum ApproxOutcome {
 ///
 /// Grounding and the per-tuple loop stay serial (they are cheap
 /// relative to sampling), but each tuple's Karp–Luby run is sharded
-/// across `threads` workers via [`KarpLuby::run_budgeted`], with the
+/// across `threads` workers via [`KarpLuby::run_eps_delta`], with the
 /// tuple's sampling seed derived as `split_seed(seed, tuple_index)`. The
 /// result therefore depends only on `(eps, delta, seed)` and the
 /// budget's counter caps — never on the thread count.
@@ -151,8 +151,9 @@ pub fn approximate_reliability_budgeted(
             Err(e) => return Err(e),
         };
         let kl = KarpLuby::new(&grounding.dnf, &probs);
-        let (rep, exhausted) = kl.run_budgeted(
-            kl.samples_for(per_eps, per_delta),
+        let (rep, exhausted) = kl.run_eps_delta(
+            per_eps,
+            per_delta,
             budget,
             split_seed(seed, done as u64),
             threads,

@@ -8,7 +8,11 @@
 //!   `[0,1]`-valued means, `t = ⌈ln(2/δ)/(2ε²)⌉`;
 //! * [`zero_one_estimator_samples`] — the zero-one estimator theorem
 //!   bound `t = ⌈4m · ln(2/δ)/ε²⌉` for the Karp–Luby coverage estimator
-//!   whose indicator has mean `≥ 1/m`.
+//!   whose indicator has mean `≥ 1/m`;
+//! * [`stopping_rule_hits`] — the Dagum–Karp–Luby–Ross stopping-rule
+//!   threshold `Υ₁ = 1 + (1+ε)·4(e−2)·ln(4/δ)/ε²`: draw until the hit
+//!   count reaches `⌈Υ₁⌉` (at `δ/2`, so that capping the run at the
+//!   zero-one count taken at `δ/2` keeps the overall failure `≤ δ`).
 
 /// Lemma 5.11 / Theorem 5.12: samples for relative error `ε` at mean
 /// `p ≥ ξ²` after the padding construction.
@@ -39,6 +43,21 @@ pub fn zero_one_estimator_samples(m: f64, eps: f64, delta: f64) -> u64 {
     (4.0 * m * (2.0 / delta).ln() / (eps * eps)).ceil() as u64
 }
 
+/// Stopping-rule threshold (Dagum, Karp, Luby, Ross, *An Optimal
+/// Algorithm for Monte Carlo Estimation*, SIAM J. Comput. 2000):
+/// `Υ₁ = 1 + (1+ε)·4(e−2)·ln(4/δ)/ε²`. Drawing `[0,1]` indicators until
+/// their sum reaches `Υ₁` at draw `N` and reporting `Υ₁/N` is within
+/// relative error `ε` of the mean with probability `≥ 1 − δ/2` for
+/// `0 < ε < 1` — without knowing the mean in advance. The `4/δ` (rather
+/// than the rule's own `2/δ`) spends half of `δ` here, leaving the other
+/// half for the fixed-count cap the Karp–Luby sampler falls back on.
+pub fn stopping_rule_hits(eps: f64, delta: f64) -> f64 {
+    assert!(eps > 0.0, "ε must be positive");
+    assert!(delta > 0.0 && delta < 1.0, "δ must be in (0, 1)");
+    let upsilon = 4.0 * (std::f64::consts::E - 2.0) * (4.0 / delta).ln() / (eps * eps);
+    1.0 + (1.0 + eps) * upsilon
+}
+
 /// The Lemma 5.11 tail bound itself: for i.i.d. `[0,1]` variables with
 /// mean `p < 1/2`, `Pr[|X̄ − p| > εp] < 2·exp(−2ε²tp / (9(1−p)))`.
 /// Returns the right-hand side (useful for plotting the envelope in the
@@ -58,6 +77,22 @@ mod tests {
         let t = karp_luby_t(0.25, 0.1, 0.05);
         let expected = (1800.0 * 20f64.ln()).ceil() as u64;
         assert_eq!(t, expected);
+    }
+
+    #[test]
+    fn stopping_rule_hits_matches_formula() {
+        // ε = δ = 0.1: 1 + 1.1·4(e−2)·ln(40)/0.01 ≈ 1166.87, so the rule
+        // stops at the 1167th hit.
+        let y = stopping_rule_hits(0.1, 0.1);
+        let expected = 1.0 + 1.1 * 4.0 * (std::f64::consts::E - 2.0) * 40f64.ln() / 0.01;
+        assert!((y - expected).abs() < 1e-9, "{y} vs {expected}");
+        assert_eq!(y.ceil() as u64, 1167);
+        // Stricter ε or δ need more hits.
+        assert!(stopping_rule_hits(0.05, 0.1) > y);
+        assert!(stopping_rule_hits(0.1, 0.01) > y);
+        // Quadratic in 1/ε (up to the (1+ε) factor), logarithmic in 1/δ.
+        let ratio = (stopping_rule_hits(0.05, 0.1) - 1.0) / (y - 1.0);
+        assert!((ratio - 4.0 * 1.05 / 1.1).abs() < 1e-9);
     }
 
     #[test]

@@ -491,13 +491,7 @@ fn check_dnf_case(
 
     // Karp–Luby: relative (ε, δ).
     let kl = KarpLuby::new(dnf, probs);
-    let samples = kl.samples_for(eps, delta);
-    let (report, _) = kl.run_budgeted(
-        samples.max(1),
-        &Budget::unlimited(),
-        split_seed(base, 0x5B),
-        2,
-    );
+    let (report, _) = kl.run_eps_delta(eps, delta, &Budget::unlimited(), split_seed(base, 0x5B), 2);
     if pf == 0.0 {
         out.trial(
             "karp-luby",

@@ -9,7 +9,9 @@ use qrel::arith::BigRational;
 use qrel::count::naive_mc::naive_mc_probability_sharded;
 use qrel::count::KarpLuby;
 use qrel::logic::prop::{Dnf, Lit};
-use qrel::prelude::{Budget, DatabaseBuilder, FoQuery, Method, Solver, UnreliableDatabase};
+use qrel::prelude::{
+    Budget, DatabaseBuilder, FoQuery, Method, Resource, Solver, UnreliableDatabase,
+};
 
 fn r(n: i64, d: u64) -> BigRational {
     BigRational::from_ratio(n, d)
@@ -56,6 +58,42 @@ fn samplers_are_bit_identical_across_thread_counts_and_reruns() {
                 mc_base.to_bits(),
                 "MC at {threads} threads"
             );
+        }
+    }
+}
+
+/// The `(ε, δ)` entry stops at a sample position of the canonical
+/// sequence, not at whatever the fastest worker reached: the estimate,
+/// the sample count and the parent budget's charge are the same bits at
+/// every thread count, whether the stopping rule or the samples cap ends
+/// the run.
+#[test]
+fn stopping_rule_is_bit_identical_across_thread_counts() {
+    let d = Dnf::from_terms([
+        vec![Lit::pos(0), Lit::neg(1)],
+        vec![Lit::pos(2), Lit::pos(3)],
+        vec![Lit::neg(2), Lit::pos(1)],
+    ]);
+    let probs = vec![r(2, 5); 4];
+    let kl = KarpLuby::new(&d, &probs);
+    for cap in [None, Some(1_000u64)] {
+        let run = |threads: usize| {
+            let budget = match cap {
+                Some(n) => Budget::unlimited().with_max_samples(n),
+                None => Budget::unlimited(),
+            };
+            let (rep, exhausted) = kl.run_eps_delta(0.05, 0.05, &budget, 17, threads);
+            assert_eq!(exhausted.is_some(), cap.is_some());
+            (
+                rep.estimate.to_bits(),
+                rep.samples,
+                budget.spent(Resource::Samples),
+            )
+        };
+        let base = run(1);
+        assert_eq!(base.1, base.2, "the charge is the samples read");
+        for threads in [2usize, 4, 8] {
+            assert_eq!(run(threads), base, "{threads} threads, cap {cap:?}");
         }
     }
 }

@@ -521,6 +521,18 @@ fn metrics_are_monotone_across_requests() {
     join.join().unwrap();
 }
 
+/// A spawned `qrel serve` that is killed and reaped when dropped, so a
+/// failed assertion cannot leave the server running (its inherited
+/// stderr would keep a piped test runner's output open).
+struct KillOnDrop(std::process::Child);
+
+impl Drop for KillOnDrop {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
 /// Binary-level check: `qrel serve` on an ephemeral port answers
 /// `/healthz` and exits cleanly (status 0) on SIGTERM.
 #[cfg(unix)]
@@ -542,6 +554,7 @@ fn binary_serves_and_shuts_down_on_sigterm() {
 
     // The first stdout line announces the bound address.
     let stdout = child.stdout.take().unwrap();
+    let mut child = KillOnDrop(child);
     let mut lines = BufReader::new(stdout).lines();
     let banner = lines.next().unwrap().unwrap();
     let addr: SocketAddr = banner
@@ -558,13 +571,13 @@ fn binary_serves_and_shuts_down_on_sigterm() {
 
     // SIGTERM → graceful drain → exit 0.
     let term = Command::new("kill")
-        .args(["-TERM", &child.id().to_string()])
+        .args(["-TERM", &child.0.id().to_string()])
         .status()
         .unwrap();
     assert!(term.success());
     let mut waited = Duration::ZERO;
     let status = loop {
-        if let Some(status) = child.try_wait().unwrap() {
+        if let Some(status) = child.0.try_wait().unwrap() {
             break status;
         }
         assert!(
@@ -604,6 +617,7 @@ fn binary_sigterm_during_long_solve_forces_drain_and_exits_3() {
         .expect("binary runs");
 
     let stdout = child.stdout.take().unwrap();
+    let mut child = KillOnDrop(child);
     let mut lines = BufReader::new(stdout).lines();
     let banner = lines.next().unwrap().unwrap();
     let addr: SocketAddr = banner
@@ -620,7 +634,7 @@ fn binary_sigterm_during_long_solve_forces_drain_and_exits_3() {
     std::thread::sleep(Duration::from_millis(300));
 
     let term = Command::new("kill")
-        .args(["-TERM", &child.id().to_string()])
+        .args(["-TERM", &child.0.id().to_string()])
         .status()
         .unwrap();
     assert!(term.success());
@@ -633,7 +647,7 @@ fn binary_sigterm_during_long_solve_forces_drain_and_exits_3() {
 
     let mut waited = Duration::ZERO;
     let status = loop {
-        if let Some(status) = child.try_wait().unwrap() {
+        if let Some(status) = child.0.try_wait().unwrap() {
             break status;
         }
         assert!(
@@ -708,14 +722,6 @@ fn binary_backs_off_when_accept_runs_out_of_descriptors() {
         .spawn()
         .expect("binary runs");
     let pid = child.id();
-    // A failed assertion must not leave the server running.
-    struct KillOnDrop(std::process::Child);
-    impl Drop for KillOnDrop {
-        fn drop(&mut self) {
-            let _ = self.0.kill();
-            let _ = self.0.wait();
-        }
-    }
     let stdout = child.stdout.take().unwrap();
     let mut child = KillOnDrop(child);
     let mut lines = BufReader::new(stdout).lines();

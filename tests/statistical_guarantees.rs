@@ -44,27 +44,63 @@ fn test_dnf() -> (Dnf, Vec<BigRational>) {
     (d, probs)
 }
 
-#[test]
-fn karp_luby_sharded_meets_its_relative_epsilon_delta_contract() {
-    let (d, probs) = test_dnf();
+/// Three disjoint two-literal terms at p = 1/5: the terms rarely
+/// overlap, so nearly every coverage sample hits (rate ≈ 0.96).
+fn disjoint_dnf() -> (Dnf, Vec<BigRational>) {
+    let d = Dnf::from_terms((0..3).map(|i| vec![Lit::pos(2 * i), Lit::pos(2 * i + 1)]));
+    (d, vec![r(1, 5); 6])
+}
+
+/// Eight terms `x0 ∧ yᵢ` with `ν(yᵢ) = 19/20`: every term is nearly the
+/// event `x0`, so the hit rate sits just above its `1/m` floor.
+fn overlapping_dnf() -> (Dnf, Vec<BigRational>) {
+    let d = Dnf::from_terms((1..9).map(|i| vec![Lit::pos(0), Lit::pos(i)]));
+    let mut probs = vec![r(19, 20); 9];
+    probs[0] = r(1, 3);
+    (d, probs)
+}
+
+/// Runs `trials` seeded `(ε, δ)` Karp–Luby estimates on the sharded
+/// engine and asserts the relative-ε failures stay within the binomial
+/// slack of δ. Returns how many trials the cap branch answered.
+fn karp_luby_contract(dnf: (Dnf, Vec<BigRational>), eps: f64, delta: f64, stream: u64) -> u64 {
+    let (d, probs) = dnf;
     let exact = dnf_probability_shannon(&d, &probs).to_f64();
     let kl = KarpLuby::new(&d, &probs);
-    let (eps, delta) = (0.1, 0.2);
-    let samples = kl.samples_for(eps, delta);
+    let cap = kl.samples_for(eps, delta / 2.0);
     let trials = 80u64;
-    let failures = (0..trials)
-        .filter(|&i| {
-            let seed = split_seed(0x5747_0001, i);
-            let (rep, _) = kl.run_budgeted(samples, &Budget::unlimited(), seed, 4);
-            (rep.estimate - exact).abs() / exact > eps
-        })
-        .count() as u64;
+    let mut failures = 0u64;
+    let mut capped = 0u64;
+    for i in 0..trials {
+        let seed = split_seed(stream, i);
+        let (rep, _) = kl.run_eps_delta(eps, delta, &Budget::unlimited(), seed, 4);
+        assert!(
+            rep.samples <= cap,
+            "{} samples past the cap {cap}",
+            rep.samples
+        );
+        capped += u64::from(!rep.stopped);
+        failures += u64::from((rep.estimate - exact).abs() / exact > eps);
+    }
     let allowed = binomial_threshold(trials, delta);
     assert!(
         failures <= allowed,
         "Karp–Luby missed its relative-ε bound in {failures}/{trials} trials \
          (δ = {delta} allows at most {allowed})"
     );
+    capped
+}
+
+#[test]
+fn karp_luby_sharded_meets_its_relative_epsilon_delta_contract() {
+    // A mixed DNF and a high-hit-rate one: the stopping rule answers.
+    assert_eq!(karp_luby_contract(test_dnf(), 0.1, 0.2, 0x5747_0001), 0);
+    assert_eq!(karp_luby_contract(disjoint_dnf(), 0.1, 0.2, 0x5747_0003), 0);
+    // At the hit-rate floor and ε = 1/2 the threshold (≈ 53 hits) is
+    // above the ≈ 51 hits expected by the cap, so the cap branch
+    // answers a share of the trials and must keep the contract too.
+    let capped = karp_luby_contract(overlapping_dnf(), 0.5, 0.2, 0x5747_0004);
+    assert!(capped > 0, "the cap branch answered no trial");
 }
 
 #[test]
