@@ -19,47 +19,16 @@
 //! pressure, while the naive mixed-sync arm degrades to roughly the
 //! long-job service time.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use qrel_bench::Table;
-use qrel_serve::{Server, ServerConfig};
+use qrel_bench::{http, percentile, serve_uncertain16, Table};
+use qrel_serve::ServerConfig;
 
 const SHORT_CLIENTS: usize = 2;
 const SHORTS_PER_CLIENT: usize = 30;
 const LONG_CLIENTS: usize = 2;
-
-fn http(
-    addr: SocketAddr,
-    method: &str,
-    path: &str,
-    headers: &[(&str, &str)],
-    body: &str,
-) -> (u16, String) {
-    let mut raw = format!("{method} {path} HTTP/1.1\r\nHost: bench\r\n");
-    for (k, v) in headers {
-        raw.push_str(&format!("{k}: {v}\r\n"));
-    }
-    raw.push_str(&format!("Content-Length: {}\r\n\r\n{body}", body.len()));
-    let mut conn = TcpStream::connect(addr).unwrap();
-    conn.write_all(raw.as_bytes()).unwrap();
-    let mut text = String::new();
-    conn.read_to_string(&mut text).unwrap();
-    let status: u16 = text
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    let body = text
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
-}
 
 fn short_body(seed: u64) -> String {
     format!(
@@ -106,33 +75,18 @@ impl Arm {
     }
 }
 
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx]
-}
-
 /// Run one arm; returns (sorted short latencies, longs run: completed
 /// sync solves in `mixed-sync`, accepted job submissions in
 /// `mixed-jobs`).
 fn run_arm(arm: Arm) -> (Vec<f64>, u64) {
-    let dataset = PathBuf::from(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../data/uncertain16.json"
-    ));
-    let server = Server::bind(ServerConfig {
-        addr: "127.0.0.1:0".into(),
+    let (addr, handle, join) = serve_uncertain16(ServerConfig {
         workers: 6,
         sched_workers: 2,
         reserved_workers: 1,
         queue_cap: 256,
         cache_bytes: 0, // every solve must be live or the arms converge
-        preload: vec![dataset],
         ..ServerConfig::default()
-    })
-    .unwrap();
-    let addr = server.local_addr();
-    let handle = server.handle();
-    let join = std::thread::spawn(move || server.run().unwrap());
+    });
 
     let stop = Arc::new(AtomicBool::new(false));
     let longs_done = Arc::new(AtomicU64::new(0));
@@ -219,7 +173,7 @@ fn run_arm(arm: Arm) -> (Vec<f64>, u64) {
     latencies.sort_by(|a, b| a.partial_cmp(b).unwrap());
 
     handle.shutdown();
-    join.join().unwrap();
+    join.join().unwrap().unwrap();
     (latencies, longs_done.load(Ordering::Relaxed))
 }
 

@@ -18,14 +18,11 @@
 //! attempt, bit-identical to a first-try answer, so requests that were
 //! `500`s/`422`s become `200`s without touching the numeric path.
 
-use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
-use std::time::Instant;
 
-use qrel_bench::Table;
+use qrel_bench::{http, percentile, scrape_counter, serve_uncertain16, timed, Table};
 use qrel_faults::{points, FaultPlan};
-use qrel_serve::{Server, ServerConfig};
+use qrel_serve::ServerConfig;
 
 const REQUESTS: usize = 200;
 const SEED_POOL: u64 = 10;
@@ -44,59 +41,14 @@ fn http_solve(addr: SocketAddr, seed: u64) -> (u16, f64) {
         "{{\"dataset\":\"uncertain16\",\"query\":\"exists x. S(x)\",\
          \"method\":\"exact\",\"seed\":{seed},\"timeout_ms\":{TIMEOUT_MS}}}"
     );
-    let raw = format!(
-        "POST /v1/solve HTTP/1.1\r\nHost: bench\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    let started = Instant::now();
-    let mut conn = TcpStream::connect(addr).unwrap();
-    conn.write_all(raw.as_bytes()).unwrap();
-    let mut text = String::new();
-    conn.read_to_string(&mut text).unwrap();
-    let elapsed = started.elapsed().as_secs_f64();
-    let status: u16 = text
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    (status, elapsed)
-}
-
-fn scrape_counter(addr: SocketAddr, name: &str) -> u64 {
-    let mut conn = TcpStream::connect(addr).unwrap();
-    conn.write_all(b"GET /metrics HTTP/1.1\r\nHost: bench\r\n\r\n")
-        .unwrap();
-    let mut text = String::new();
-    conn.read_to_string(&mut text).unwrap();
-    text.lines()
-        .find(|l| l.starts_with(name) && l.as_bytes().get(name.len()) == Some(&b' '))
-        .and_then(|l| l.rsplit(' ').next())
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0)
-}
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx]
+    timed(|| http(addr, "POST", "/v1/solve", &[], &body).0)
 }
 
 fn run_config(self_heal: bool) -> Vec<String> {
-    let dataset = PathBuf::from(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../data/uncertain16.json"
-    ));
-    let server = Server::bind(ServerConfig {
-        addr: "127.0.0.1:0".into(),
+    let (addr, handle, join) = serve_uncertain16(ServerConfig {
         workers: 1,
         self_heal,
-        preload: vec![dataset],
         ..ServerConfig::default()
-    })
-    .unwrap();
-    let addr = server.local_addr();
-    let handle = server.handle();
-    let join = std::thread::spawn(move || {
-        let _ = server.run();
     });
 
     // Same storm for both configurations: decisions are a pure function

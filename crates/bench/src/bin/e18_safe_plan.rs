@@ -10,16 +10,17 @@
 //! layer with a distinct-seed request train and scrapes `/metrics`: one
 //! plan-cache miss (the single compile), everything else hits.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
+use std::net::SocketAddr;
 
-use qrel_bench::{fmt_secs, random_graph_db, timed, with_uniform_error, Table};
+use qrel_bench::{
+    fmt_secs, http, percentile, random_graph_db, scrape_counter, serve_uncertain16, timed,
+    with_uniform_error, Table,
+};
 use qrel_core::exact::exact_probability;
 use qrel_core::existential::{existential_probability_fptras, Route};
 use qrel_eval::FoQuery;
 use qrel_logic::parser::parse_formula;
-use qrel_serve::{Server, ServerConfig};
+use qrel_serve::ServerConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -49,35 +50,7 @@ fn http_solve(addr: SocketAddr, seed: u64) -> (u16, f64) {
         "{{\"dataset\":\"uncertain16\",\"query\":\"exists x. S(x)\",\
          \"method\":\"auto\",\"seed\":{seed}}}"
     );
-    let raw = format!(
-        "POST /v1/solve HTTP/1.1\r\nHost: bench\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    let started = std::time::Instant::now();
-    let mut conn = TcpStream::connect(addr).unwrap();
-    conn.write_all(raw.as_bytes()).unwrap();
-    let mut text = String::new();
-    conn.read_to_string(&mut text).unwrap();
-    let elapsed = started.elapsed().as_secs_f64();
-    let status: u16 = text
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    (status, elapsed)
-}
-
-fn scrape_counter(addr: SocketAddr, name: &str) -> u64 {
-    let mut conn = TcpStream::connect(addr).unwrap();
-    conn.write_all(b"GET /metrics HTTP/1.1\r\nHost: bench\r\n\r\n")
-        .unwrap();
-    let mut text = String::new();
-    conn.read_to_string(&mut text).unwrap();
-    text.lines()
-        .find(|l| l.starts_with(name) && l.as_bytes().get(name.len()) == Some(&b' '))
-        .and_then(|l| l.rsplit(' ').next())
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0)
+    timed(|| http(addr, "POST", "/v1/solve", &[], &body).0)
 }
 
 fn main() {
@@ -173,20 +146,10 @@ fn main() {
     );
 
     println!("\npart 2: serve-layer plan cache under a distinct-seed train");
-    let dataset = PathBuf::from(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../data/uncertain16.json"
-    ));
-    let server = Server::bind(ServerConfig {
-        addr: "127.0.0.1:0".into(),
+    let (addr, handle, join) = serve_uncertain16(ServerConfig {
         workers: 2,
-        preload: vec![dataset],
         ..ServerConfig::default()
-    })
-    .unwrap();
-    let addr = server.local_addr();
-    let handle = server.handle();
-    let join = std::thread::spawn(move || server.run().unwrap());
+    });
 
     let mut latencies = Vec::with_capacity(REQUESTS);
     for seed in 0..REQUESTS as u64 {
@@ -201,7 +164,7 @@ fn main() {
     let plan_misses = scrape_counter(addr, "qrel_plan_cache_misses_total");
     let plan_solves = scrape_counter(addr, "qrel_solve_total{method=\"plan\"}");
     handle.shutdown();
-    join.join().unwrap();
+    join.join().unwrap().unwrap();
 
     println!(
         "  {} solves over 2^16-world dataset: plan cache {} hits / {} misses \
@@ -214,8 +177,8 @@ fn main() {
     );
     println!(
         "  p50 end-to-end {} / p99 {}",
-        fmt_secs(latencies[REQUESTS / 2]),
-        fmt_secs(latencies[REQUESTS - 1]),
+        fmt_secs(percentile(&latencies, 0.50)),
+        fmt_secs(percentile(&latencies, 0.99)),
     );
     assert_eq!(
         plan_misses, 1,

@@ -3,15 +3,21 @@
 //! Each experiment in `DESIGN.md` §7 is a binary in `src/bin/` that
 //! prints a table; `EXPERIMENTS.md` records the outputs next to the
 //! paper's claims. This library provides the common pieces: table
-//! rendering, timing, and workload generators.
+//! rendering, timing, workload generators, and the HTTP client the
+//! serve experiments share.
 
 pub mod perf;
 
 use qrel_arith::BigRational;
 use qrel_db::{Database, DatabaseBuilder, Fact};
 use qrel_prob::UnreliableDatabase;
+use qrel_serve::{DrainReport, ServeError, Server, ServerConfig, ServerHandle};
 use rand::rngs::StdRng;
 use rand::Rng;
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::path::PathBuf;
+use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// Render a fixed-width table to stdout.
@@ -78,6 +84,75 @@ pub fn fmt_secs(s: f64) -> String {
     } else {
         format!("{s:.2}s")
     }
+}
+
+/// The `p`-quantile of an ascending slice, by nearest rank.
+pub fn percentile(sorted: &[f64], p: f64) -> f64 {
+    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
+    sorted[idx]
+}
+
+/// Boot `config` on an ephemeral loopback port with the committed
+/// `data/uncertain16.json` (2^16 worlds) preloaded. Returns the address,
+/// the shutdown handle, and the thread running the server.
+pub fn serve_uncertain16(
+    config: ServerConfig,
+) -> (
+    SocketAddr,
+    ServerHandle,
+    JoinHandle<Result<DrainReport, ServeError>>,
+) {
+    let dataset = concat!(env!("CARGO_MANIFEST_DIR"), "/../../data/uncertain16.json");
+    let server = Server::bind(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        preload: vec![PathBuf::from(dataset)],
+        ..config
+    })
+    .unwrap();
+    let (addr, handle) = (server.local_addr(), server.handle());
+    (addr, handle, std::thread::spawn(move || server.run()))
+}
+
+/// One HTTP/1.1 request on its own connection, read until the server
+/// closes it. Returns `(status, body)`; the status is 0 when no status
+/// line came back.
+pub fn http(
+    addr: SocketAddr,
+    method: &str,
+    path: &str,
+    headers: &[(&str, &str)],
+    body: &str,
+) -> (u16, String) {
+    let mut raw = format!("{method} {path} HTTP/1.1\r\nHost: bench\r\n");
+    for (k, v) in headers {
+        raw.push_str(&format!("{k}: {v}\r\n"));
+    }
+    raw.push_str(&format!("Content-Length: {}\r\n\r\n{body}", body.len()));
+    let mut conn = TcpStream::connect(addr).unwrap();
+    conn.write_all(raw.as_bytes()).unwrap();
+    let mut text = String::new();
+    conn.read_to_string(&mut text).unwrap();
+    let status = text
+        .split_whitespace()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(0);
+    let body = text
+        .split_once("\r\n\r\n")
+        .map(|(_, b)| b.to_string())
+        .unwrap_or_default();
+    (status, body)
+}
+
+/// The value of the `/metrics` series named exactly `name` (labels
+/// included), or 0 when the server does not export it.
+pub fn scrape_counter(addr: SocketAddr, name: &str) -> u64 {
+    let (_, text) = http(addr, "GET", "/metrics", &[], "");
+    text.lines()
+        .find(|l| l.starts_with(name) && l.as_bytes().get(name.len()) == Some(&b' '))
+        .and_then(|l| l.rsplit(' ').next())
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(0)
 }
 
 /// A random database over the standard experiment schema

@@ -43,9 +43,9 @@ pub enum QrelError {
     /// nobody should retry on its behalf.
     Cancelled(Exhausted),
     /// A ladder rung panicked and was caught at the rung boundary. The
-    /// message carries the panic payload. This is the one *transient*
-    /// failure class: a panic says nothing about the next attempt, so
-    /// the ladder may retry the rung while deadline remains.
+    /// message carries the panic payload. This is the one transient
+    /// failure: a panic says nothing about the next attempt, so the
+    /// ladder retries a panicked rung while deadline remains.
     RungPanic(String),
     /// Every rung of the degradation ladder failed; the message records
     /// the per-rung causes.
@@ -54,32 +54,7 @@ pub enum QrelError {
     Internal(String),
 }
 
-/// Whether a failure invites an immediate retry of the same work.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RetryClass {
-    /// The failure is plausibly one-off (a caught panic); retrying the
-    /// same rung with the remaining budget may succeed.
-    Transient,
-    /// Retrying the identical work cannot help: the input is bad, the
-    /// failure is deterministic, the deadline is gone, or the caller
-    /// cancelled.
-    FailFast,
-}
-
 impl QrelError {
-    /// Classify for the self-healing retry ladder.
-    pub fn retry_class(&self) -> RetryClass {
-        match self {
-            QrelError::RungPanic(_) => RetryClass::Transient,
-            _ => RetryClass::FailFast,
-        }
-    }
-
-    /// True iff [`retry_class`](Self::retry_class) is `Transient`.
-    pub fn is_transient(&self) -> bool {
-        self.retry_class() == RetryClass::Transient
-    }
-
     /// Stable snake_case tag for metrics and error-taxonomy reporting.
     pub fn kind(&self) -> &'static str {
         match self {
@@ -105,9 +80,6 @@ impl fmt::Display for QrelError {
             QrelError::Eval(m) => write!(f, "evaluation error: {m}"),
             QrelError::Unsupported(m) => write!(f, "unsupported: {m}"),
             QrelError::BudgetExhausted(e) => write!(f, "budget exhausted: {e}"),
-            // The Exhausted renderings already carry the load-bearing
-            // words ("deadline of ...", "cancelled by caller") that the
-            // serve-path determinism classifier keys on.
             QrelError::Timeout(e) => write!(f, "timeout: {e}"),
             QrelError::Cancelled(e) => write!(f, "{e}"),
             QrelError::RungPanic(m) => write!(f, "rung panicked: {m}"),
@@ -185,32 +157,5 @@ mod tests {
         });
         assert!(matches!(work, QrelError::BudgetExhausted(_)));
         assert_eq!(work.kind(), "budget_exhausted");
-    }
-
-    #[test]
-    fn only_rung_panics_are_transient() {
-        assert!(QrelError::RungPanic("boom".into()).is_transient());
-        for e in [
-            QrelError::Parse("x".into()),
-            QrelError::Timeout(Exhausted {
-                resource: Resource::WallClock,
-                spent: 1,
-                limit: Some(1),
-            }),
-            QrelError::Cancelled(Exhausted {
-                resource: Resource::Cancelled,
-                spent: 0,
-                limit: None,
-            }),
-            QrelError::BudgetExhausted(Exhausted {
-                resource: Resource::Samples,
-                spent: 2,
-                limit: Some(1),
-            }),
-            QrelError::Degraded("x".into()),
-            QrelError::Internal("x".into()),
-        ] {
-            assert_eq!(e.retry_class(), RetryClass::FailFast, "{e}");
-        }
     }
 }

@@ -31,4 +31,4 @@ mod budget;
 mod error;
 
 pub use budget::{Budget, CancelToken, Exhausted, Resource};
-pub use error::{QrelError, RetryClass};
+pub use error::QrelError;

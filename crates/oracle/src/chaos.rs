@@ -271,9 +271,9 @@ fn answer_prefix(body: &str) -> &str {
     body.find(",\"spent\":").map_or(body, |i| &body[..i])
 }
 
-/// Is a non-identical `200` explicitly tagged as degraded? `partial`
-/// comes from [`Confidence::Partial`]'s display; the rest are the
-/// load-bearing trace substrings the serve path keys caching on.
+/// Is a non-identical `200` explicitly tagged as degraded in the wire
+/// body? `partial` comes from [`Confidence::Partial`]'s display; the
+/// rest are words that budget trips and panics render into the trace.
 ///
 /// [`Confidence::Partial`]: qrel_runtime::Confidence::Partial
 fn is_tagged_degraded(body: &str) -> bool {

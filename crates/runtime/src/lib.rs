@@ -47,5 +47,7 @@ mod report;
 mod solver;
 
 pub use qrel_budget::{Budget, CancelToken, Exhausted, QrelError, Resource};
-pub use report::{Confidence, Method, SolveReport, TraceStep};
-pub use solver::{ProgressEvent, ProgressHook, Solver, DEFAULT_MAX_EXACT_WORLDS, MAX_RUNG_RETRIES};
+pub use report::{Completion, Confidence, Method, RungOutcome, Skip, SolveReport, TraceStep};
+pub use solver::{
+    PlanHint, ProgressEvent, ProgressHook, Solver, DEFAULT_MAX_EXACT_WORLDS, MAX_RUNG_RETRIES,
+};

@@ -17,7 +17,7 @@ use qrel_par::{resolve_threads, split_seed};
 use qrel_prob::UnreliableDatabase;
 use std::sync::Arc;
 
-use crate::report::{Confidence, Method, SolveReport, TraceStep};
+use crate::report::{Completion, Confidence, Method, RungOutcome, Skip, SolveReport, TraceStep};
 
 /// Default cap on `2^u` below which `Method::Auto` runs the exact
 /// enumeration. `2^14` worlds evaluate in well under a second for the
@@ -38,8 +38,9 @@ pub struct ProgressEvent {
     pub method: Method,
     /// 1-based attempt number (retries increment this).
     pub attempt: u32,
-    /// `None` when the attempt starts; the trace note once it ends.
-    pub note: Option<String>,
+    /// `None` when the attempt starts; then each step it adds to the
+    /// trace.
+    pub outcome: Option<RungOutcome>,
 }
 
 /// A shareable observer for [`ProgressEvent`]s.
@@ -102,22 +103,32 @@ impl Answer {
             estimate: estimate.clamp(0.0, 1.0),
             exact: None,
             bounds,
-            confidence: Confidence::Partial {
-                reason: cause.to_string(),
-            },
+            confidence: Confidence::Partial(*cause),
         }
     }
 }
 
 /// What a rung did with its budget slice.
 enum Rung {
-    /// Finished with a full-guarantee answer; `String` is the trace note.
-    Done(Answer, String),
+    /// Finished with a full-guarantee answer.
+    Done(Answer, Completion),
     /// Budget tripped; carries the partial answer (if any estimate was
     /// accumulated) for the ladder's last-resort report.
     Degraded(Option<Answer>, Exhausted),
     /// Method does not apply to this query.
-    Skip(String),
+    Skip(Skip),
+}
+
+/// The plan rung's verdict, computed ahead of the solve (the serve
+/// layer's plan cache holds one per query and schema): a compiled safe
+/// plan, or the compiler's decline.
+#[derive(Debug, Clone)]
+pub struct PlanHint(pub Result<Arc<qrel_plan::Plan>, qrel_plan::Unsafe>);
+
+impl From<Arc<qrel_plan::Plan>> for PlanHint {
+    fn from(plan: Arc<qrel_plan::Plan>) -> Self {
+        PlanHint(Ok(plan))
+    }
 }
 
 /// The budgeted reliability solver.
@@ -140,7 +151,7 @@ pub struct Solver {
     threads: Option<usize>,
     rung_retries: u32,
     progress: Option<ProgressHook>,
-    plan_hint: Option<Arc<qrel_plan::Plan>>,
+    plan_hint: Option<PlanHint>,
 }
 
 impl Default for Solver {
@@ -219,11 +230,12 @@ impl Solver {
         self
     }
 
-    /// Reuse an already-compiled safe plan for the plan rung instead of
-    /// recompiling (the serve layer's plan cache passes one in). The
-    /// plan must have been compiled from this solve's query.
-    pub fn with_plan_hint(mut self, plan: Arc<qrel_plan::Plan>) -> Self {
-        self.plan_hint = Some(plan);
+    /// Reuse the plan rung's verdict instead of recompiling (the serve
+    /// layer's plan cache passes one in): a compiled plan is evaluated,
+    /// a decline skips the rung. The verdict must come from compiling
+    /// this solve's query.
+    pub fn with_plan_hint(mut self, hint: impl Into<PlanHint>) -> Self {
+        self.plan_hint = Some(hint.into());
         self
     }
 
@@ -255,96 +267,69 @@ impl Solver {
             // reuse the same rung seed: a retried rung that completes
             // gives the same answer a first-try completion would.
             let rung_seed = split_seed(self.seed, i as u64);
-            let mut attempt: u32 = 0;
+            let mut at = ProgressEvent {
+                rung: i,
+                of: ladder.len(),
+                method,
+                attempt: 1,
+                outcome: None,
+            };
             loop {
-                self.emit_progress(i, ladder.len(), method, attempt + 1, None);
+                self.emit_progress(|| at.clone());
                 let slice = slice_budget(budget, last);
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                let ran = catch_unwind(AssertUnwindSafe(|| {
                     self.run_rung(method, ud, query, &slice, rung_seed, threads)
                 }));
                 settle(budget, &slice);
-                match outcome {
-                    Ok(Ok(Rung::Done(answer, note))) => {
-                        self.emit_progress(i, ladder.len(), method, attempt + 1, Some(&note));
-                        trace.push(TraceStep { method, note });
+                match ran {
+                    Ok(Ok(Rung::Done(answer, done))) => {
+                        self.record(&mut trace, &at, RungOutcome::Completed(done));
                         return Ok(self.report(answer, method, trace, budget));
                     }
                     Ok(Ok(Rung::Degraded(answer, cause))) => {
-                        self.emit_progress(
-                            i,
-                            ladder.len(),
-                            method,
-                            attempt + 1,
-                            Some(&cause.to_string()),
-                        );
-                        trace.push(TraceStep {
-                            method,
-                            note: cause.to_string(),
-                        });
+                        self.record(&mut trace, &at, RungOutcome::Exhausted(cause));
                         if let Some(a) = answer {
                             best_partial = Some(match best_partial.take() {
                                 Some(b) if width(&b.0) <= width(&a) => b,
                                 _ => (a, method),
                             });
                         }
-                        continue 'ladder;
                     }
-                    Ok(Ok(Rung::Skip(reason))) => {
-                        trace.push(TraceStep {
-                            method,
-                            note: format!("skipped: {reason}"),
-                        });
-                        continue 'ladder;
+                    Ok(Ok(Rung::Skip(skip))) => {
+                        self.record(&mut trace, &at, RungOutcome::Skipped(skip));
                     }
                     Ok(Err(e)) => {
-                        trace.push(TraceStep {
-                            method,
-                            note: format!("failed: {e}"),
-                        });
-                        first_error.get_or_insert(e);
-                        continue 'ladder;
+                        first_error.get_or_insert(e.clone());
+                        self.record(&mut trace, &at, RungOutcome::Failed(e));
                     }
                     Err(panic) => {
                         // `&*panic`, not `&panic`: coercing the Box
                         // itself to `dyn Any` would hide the payload.
                         let msg = panic_message(&*panic);
-                        self.emit_progress(
-                            i,
-                            ladder.len(),
-                            method,
-                            attempt + 1,
-                            Some(&format!("panicked: {msg}")),
-                        );
-                        trace.push(TraceStep {
-                            method,
-                            note: format!("panicked: {msg}"),
-                        });
-                        let err = QrelError::RungPanic(msg);
+                        self.record(&mut trace, &at, RungOutcome::Panicked(msg.clone()));
                         // Self-healing: a caught panic is the one
-                        // transient failure class — retry the rung with
+                        // transient failure — retry the rung with
                         // jittered backoff while deadline remains,
                         // instead of burning the whole rung.
-                        if err.is_transient() && attempt < self.rung_retries {
-                            if let Some(pause) = retry_backoff(self.seed, i as u64, attempt, budget)
+                        if at.attempt <= self.rung_retries {
+                            if let Some(pause) =
+                                retry_backoff(self.seed, i as u64, at.attempt - 1, budget)
                             {
-                                trace.push(TraceStep {
-                                    method,
-                                    note: format!(
-                                        "retrying after {}ms (attempt {} of {})",
-                                        pause.as_millis(),
-                                        attempt + 2,
-                                        self.rung_retries + 1
-                                    ),
-                                });
+                                let retry = RungOutcome::Retrying {
+                                    pause,
+                                    attempt: at.attempt + 1,
+                                    of: self.rung_retries + 1,
+                                };
+                                self.record(&mut trace, &at, retry);
                                 std::thread::sleep(pause);
-                                attempt += 1;
+                                at.attempt += 1;
                                 continue;
                             }
                         }
-                        first_error.get_or_insert(err);
-                        continue 'ladder;
+                        first_error.get_or_insert(QrelError::RungPanic(msg));
                     }
                 }
+                continue 'ladder;
             }
         }
 
@@ -354,7 +339,7 @@ impl Solver {
                 QrelError::Degraded(
                     trace
                         .iter()
-                        .map(|s| format!("{}: {}", s.method, s.note))
+                        .map(|s| format!("{}: {}", s.method, s.outcome))
                         .collect::<Vec<_>>()
                         .join("; "),
                 )
@@ -362,22 +347,23 @@ impl Solver {
         }
     }
 
-    fn emit_progress(
-        &self,
-        rung: usize,
-        of: usize,
-        method: Method,
-        attempt: u32,
-        note: Option<&str>,
-    ) {
+    /// Add one step to the trace and report it to the progress hook:
+    /// the one place a rung attempt's outcome is recorded.
+    fn record(&self, trace: &mut Vec<TraceStep>, at: &ProgressEvent, outcome: RungOutcome) {
+        self.emit_progress(|| ProgressEvent {
+            outcome: Some(outcome.clone()),
+            ..at.clone()
+        });
+        trace.push(TraceStep {
+            method: at.method,
+            outcome,
+        });
+    }
+
+    /// Emit a progress event, built only when a hook is installed.
+    fn emit_progress(&self, event: impl FnOnce() -> ProgressEvent) {
         if let Some(hook) = &self.progress {
-            hook.emit(ProgressEvent {
-                rung,
-                of,
-                method,
-                attempt,
-                note: note.map(str::to_string),
-            });
+            hook.emit(event());
         }
     }
 
@@ -463,18 +449,19 @@ impl Solver {
         if let Err(cause) = budget.probe() {
             return Ok(Rung::Degraded(None, cause));
         }
-        let plan = match &self.plan_hint {
-            Some(hint) => Arc::clone(hint),
-            None => match qrel_plan::compile(query.formula()) {
-                Ok(plan) => Arc::new(plan),
-                Err(reason) => {
-                    return Ok(Rung::Skip(format!("no safe plan: {reason}")));
-                }
-            },
+        let verdict = match &self.plan_hint {
+            Some(PlanHint(verdict)) => verdict.clone(),
+            None => qrel_plan::compile(query.formula()).map(Arc::new),
+        };
+        let plan = match verdict {
+            Ok(plan) => plan,
+            Err(reason) => return Ok(Rung::Skip(Skip::NoSafePlan(reason))),
         };
         let rep = qrel_plan::reliability(ud, &plan, query.formula(), query.free_vars())?;
-        let note = format!("completed exactly (safe plan, {} nodes)", plan.node_count());
-        Ok(Rung::Done(Answer::exact(rep.reliability), note))
+        let done = Completion::Plan {
+            nodes: plan.node_count(),
+        };
+        Ok(Rung::Done(Answer::exact(rep.reliability), done))
     }
 
     fn run_qf(
@@ -484,15 +471,14 @@ impl Solver {
         budget: &Budget,
     ) -> Result<Rung, QrelError> {
         if !query.formula().is_quantifier_free() {
-            return Ok(Rung::Skip("query is not quantifier-free".into()));
+            return Ok(Rung::Skip(Skip::NotQuantifierFree));
         }
         match qf_reliability_budgeted(ud, query.formula(), query.free_vars(), budget)? {
             QfOutcome::Complete(rep) => {
-                let note = format!(
-                    "completed exactly ({} atoms/tuple)",
-                    rep.max_atoms_per_tuple
-                );
-                Ok(Rung::Done(Answer::exact(rep.reliability), note))
+                let done = Completion::Qf {
+                    atoms_per_tuple: rep.max_atoms_per_tuple,
+                };
+                Ok(Rung::Done(Answer::exact(rep.reliability), done))
             }
             QfOutcome::Exhausted {
                 partial_expected_error,
@@ -518,8 +504,8 @@ impl Solver {
     ) -> Result<Rung, QrelError> {
         match exact_reliability_budgeted(ud, query, budget, threads)? {
             ExactOutcome::Complete(rep) => {
-                let note = format!("completed exactly ({} worlds)", rep.worlds);
-                Ok(Rung::Done(Answer::exact(rep.reliability), note))
+                let done = Completion::Exact { worlds: rep.worlds };
+                Ok(Rung::Done(Answer::exact(rep.reliability), done))
             }
             ExactOutcome::Exhausted {
                 partial_expected_error,
@@ -558,13 +544,14 @@ impl Solver {
         );
         match outcome {
             Ok(ApproxOutcome::Complete(rep)) => {
-                let note = format!(
-                    "completed with (ε={}, δ={}) guarantee ({} tuples)",
-                    self.eps, self.delta, rep.tuples
-                );
+                let done = Completion::Fptras {
+                    eps: self.eps,
+                    delta: self.delta,
+                    tuples: rep.tuples,
+                };
                 Ok(Rung::Done(
                     Answer::sampled(rep.reliability, self.eps, self.delta),
-                    note,
+                    done,
                 ))
             }
             Ok(ApproxOutcome::Exhausted {
@@ -582,7 +569,7 @@ impl Solver {
                     .then(|| Answer::partial(estimate, None, &cause));
                 Ok(Rung::Degraded(answer, cause))
             }
-            Err(QrelError::Unsupported(reason)) => Ok(Rung::Skip(reason)),
+            Err(QrelError::Unsupported(reason)) => Ok(Rung::Skip(Skip::Unsupported(reason))),
             Err(
                 QrelError::BudgetExhausted(cause)
                 | QrelError::Timeout(cause)
@@ -603,7 +590,13 @@ impl Solver {
         let outcome = PaddingEstimator::default_xi().estimate_reliability_budgeted(
             ud, query, self.eps, self.delta, budget, seed, threads,
         )?;
-        Ok(self.sampled(outcome, "guarantee"))
+        Ok(
+            self.sampled(outcome, |eps, delta, worlds| Completion::Padding {
+                eps,
+                delta,
+                worlds,
+            }),
+        )
     }
 
     /// Direct Monte-Carlo ([`direct_reliability_budgeted`]): one sampled
@@ -619,19 +612,22 @@ impl Solver {
     ) -> Result<Rung, QrelError> {
         let outcome =
             direct_reliability_budgeted(ud, query, self.eps, self.delta, budget, seed, threads)?;
-        Ok(self.sampled(outcome, "Hoeffding guarantee"))
+        Ok(
+            self.sampled(outcome, |eps, delta, worlds| Completion::NaiveMc {
+                eps,
+                delta,
+                worlds,
+            }),
+        )
     }
 
-    /// A world-sampling rung's result; `guarantee` names the bound in the
-    /// completion note.
-    fn sampled(&self, outcome: PaddingOutcome, guarantee: &str) -> Rung {
+    /// A world-sampling rung's result; `done` builds its completion from
+    /// (ε, δ, worlds sampled).
+    fn sampled(&self, outcome: PaddingOutcome, done: fn(f64, f64, u64) -> Completion) -> Rung {
         match outcome {
             PaddingOutcome::Complete(rep) => Rung::Done(
                 Answer::sampled(rep.estimate, self.eps, self.delta),
-                format!(
-                    "completed with (ε={}, δ={}) {guarantee} ({} worlds)",
-                    self.eps, self.delta, rep.samples
-                ),
+                done(self.eps, self.delta, rep.samples),
             ),
             PaddingOutcome::Exhausted {
                 partial_estimate,
@@ -857,6 +853,32 @@ mod tests {
     }
 
     #[test]
+    fn a_declining_plan_hint_skips_without_compiling() {
+        // Serialize against fault-armed tests (arming is process-global).
+        let _quiet = qrel_faults::quiesce();
+        let ud = small_ud();
+        // A first-order safe query: compiling it would succeed, so the
+        // second-order decline in the trace can only come from the hint.
+        let q = FoQuery::parse("exists x. S(x)").unwrap();
+        let report = Solver::new()
+            .with_plan_hint(PlanHint(Err(qrel_plan::Unsafe::SecondOrder)))
+            .solve(&ud, &q, &Budget::unlimited())
+            .unwrap();
+        assert_eq!(report.method, Method::Exact);
+        assert_eq!(
+            report.trace[0],
+            TraceStep {
+                method: Method::Plan,
+                outcome: RungOutcome::Skipped(Skip::NoSafePlan(qrel_plan::Unsafe::SecondOrder)),
+            }
+        );
+        assert_eq!(
+            report.trace[0].outcome.to_string(),
+            "skipped: no safe plan: second-order quantification"
+        );
+    }
+
+    #[test]
     fn auto_routes_exact_when_worlds_fit() {
         // Serialize against fault-armed tests (arming is process-global).
         let _quiet = qrel_faults::quiesce();
@@ -1061,13 +1083,18 @@ mod tests {
             .unwrap();
         assert_eq!(report.method, Method::Plan);
         let events = events.lock().unwrap();
-        // One start event (note: None) and one outcome event per rung
+        // One start event (outcome: None) and one outcome event per rung
         // attempt; the single plan rung completes on its first try.
         assert_eq!(events.len(), 2, "events: {events:?}");
         assert_eq!(events[0].attempt, 1);
-        assert!(events[0].note.is_none());
+        assert!(events[0].outcome.is_none());
         assert_eq!(events[1].method, Method::Plan);
-        assert!(events[1].note.as_deref().unwrap().contains("completed"));
+        assert!(events[1]
+            .outcome
+            .as_ref()
+            .unwrap()
+            .to_string()
+            .contains("completed"));
     }
 
     #[test]
@@ -1091,7 +1118,7 @@ mod tests {
         assert_eq!(healed.method, Method::Exact);
         assert_eq!(healed.reliability.to_bits(), clean.reliability.to_bits());
         assert_eq!(healed.exact, clean.exact);
-        let notes: Vec<&str> = healed.trace.iter().map(|s| s.note.as_str()).collect();
+        let notes: Vec<String> = healed.trace.iter().map(|s| s.outcome.to_string()).collect();
         assert!(
             notes.iter().any(|n| n.contains("injected fault")),
             "trace must record the caught panic: {notes:?}"

@@ -17,7 +17,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use qrel_plan::Plan;
+use qrel_plan::{Plan, Unsafe};
 
 /// Number of independent LRU shards. Fixed (like `qrel_par`'s shard
 /// count) so behaviour never depends on the machine.
@@ -330,7 +330,7 @@ impl PlanStatus {
 
 #[derive(Default)]
 struct PlanShard {
-    map: HashMap<(String, String), Result<Arc<Plan>, String>>,
+    map: HashMap<(String, String), Result<Arc<Plan>, Unsafe>>,
     order: VecDeque<(String, String)>,
 }
 
@@ -347,8 +347,10 @@ struct PlanShard {
 /// time — the same query text over a different schema must not share a
 /// decline verdict.
 ///
-/// Declines are cached negatively (the `Unsafe` reason as a string), so
-/// a hot unsafe query costs one hash lookup, not a recompilation.
+/// Declines are cached negatively, as the compiler's [`Unsafe`] reason.
+/// The solver takes the cached verdict as its plan hint, so a hot unsafe
+/// query costs one hash lookup and its plan rung skips with the cached
+/// reason, never recompiling.
 #[derive(Default)]
 pub struct PlanCache {
     shard: Mutex<PlanShard>,
@@ -369,47 +371,33 @@ impl PlanCache {
         query: &str,
         schema: &str,
         compile: F,
-    ) -> (Result<Arc<Plan>, String>, PlanStatus)
+    ) -> (Result<Arc<Plan>, Unsafe>, PlanStatus)
     where
-        F: FnOnce() -> Result<Plan, qrel_plan::Unsafe>,
+        F: FnOnce() -> Result<Plan, Unsafe>,
     {
         let key = (query.to_string(), schema.to_string());
         let mut shard = self.shard.lock().expect("plan cache poisoned");
-        if let Some(cached) = shard.map.get(&key) {
-            let status = match cached {
-                Ok(_) => {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    PlanStatus::Hit
+        let (outcome, counter, status) = match shard.map.get(&key) {
+            Some(cached) => (cached.clone(), &self.hits, PlanStatus::Hit),
+            None => {
+                let outcome = compile().map(Arc::new);
+                shard.map.insert(key.clone(), outcome.clone());
+                shard.order.push_back(key);
+                while shard.map.len() > PLAN_CACHE_CAP {
+                    let Some(oldest) = shard.order.pop_front() else {
+                        break;
+                    };
+                    shard.map.remove(&oldest);
                 }
-                Err(_) => {
-                    self.unsafe_total.fetch_add(1, Ordering::Relaxed);
-                    PlanStatus::Unsafe
-                }
-            };
-            return (cached.clone(), status);
-        }
-        let outcome = match compile() {
-            Ok(plan) => Ok(Arc::new(plan)),
-            Err(reason) => Err(reason.to_string()),
-        };
-        let status = match &outcome {
-            Ok(_) => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                PlanStatus::Miss
-            }
-            Err(_) => {
-                self.unsafe_total.fetch_add(1, Ordering::Relaxed);
-                PlanStatus::Unsafe
+                (outcome, &self.misses, PlanStatus::Miss)
             }
         };
-        shard.map.insert(key.clone(), outcome.clone());
-        shard.order.push_back(key);
-        while shard.map.len() > PLAN_CACHE_CAP {
-            let Some(oldest) = shard.order.pop_front() else {
-                break;
-            };
-            shard.map.remove(&oldest);
-        }
+        // A decline counts as `unsafe` whether it was cached or fresh.
+        let (counter, status) = match &outcome {
+            Ok(_) => (counter, status),
+            Err(_) => (&self.unsafe_total, PlanStatus::Unsafe),
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
         (outcome, status)
     }
 
@@ -630,7 +618,7 @@ mod tests {
         for _ in 0..2 {
             let (p, s) = cache.get_or_compile("h0", "E/2,S/1,T/1", || qrel_plan::compile(&f));
             assert_eq!(s, PlanStatus::Unsafe);
-            assert!(p.unwrap_err().contains("non-hierarchical"));
+            assert!(matches!(p.unwrap_err(), Unsafe::NonHierarchical { .. }));
         }
         assert_eq!(cache.unsafe_count(), 2);
         assert_eq!(cache.len(), 1);

@@ -228,23 +228,6 @@ pub fn parse_solve_request(body: &[u8], limits: ParseLimits) -> Result<SolveRequ
     })
 }
 
-/// True when `report` is a deterministic function of (database, query,
-/// method, ε, δ, seed) — i.e. no rung tripped on wall-clock time or
-/// external cancellation. Counter trips (worlds/samples/terms caps)
-/// happen at exactly the same point on every run and are fine; only
-/// time and cancellation make the degradation path machine-dependent.
-/// Caught rung panics are excluded too: under fault injection a healed
-/// answer is bit-identical but the *trace* records the panic, and a
-/// cached panic trace would replay a fault to fault-free clients.
-/// The cache stores only deterministic reports.
-pub fn is_deterministic(report: &SolveReport) -> bool {
-    report.trace.iter().all(|step| {
-        !step.note.contains("deadline")
-            && !step.note.contains("cancelled")
-            && !step.note.contains("panicked")
-    })
-}
-
 /// Serialize a solve report into the response body. Deliberately
 /// excludes `elapsed` (see the module docs).
 pub fn solve_response_body(report: &SolveReport) -> Vec<u8> {
@@ -478,7 +461,7 @@ pub fn job_list_body(tenant: &str, items: &[(u64, String, String, bool)]) -> Vec
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qrel_runtime::{Confidence, TraceStep};
+    use qrel_runtime::{Completion, Confidence, RungOutcome, TraceStep};
     use std::time::Duration;
 
     fn limits() -> ParseLimits {
@@ -538,7 +521,7 @@ mod tests {
         }
     }
 
-    fn report(trace_notes: &[&str]) -> SolveReport {
+    fn report() -> SolveReport {
         SolveReport {
             reliability: 0.5,
             exact: None,
@@ -548,13 +531,14 @@ mod tests {
                 delta: 0.05,
             },
             method: Method::Fptras,
-            trace: trace_notes
-                .iter()
-                .map(|n| TraceStep {
-                    method: Method::Fptras,
-                    note: n.to_string(),
-                })
-                .collect(),
+            trace: vec![TraceStep {
+                method: Method::Fptras,
+                outcome: RungOutcome::Completed(Completion::Fptras {
+                    eps: 0.05,
+                    delta: 0.05,
+                    tuples: 1,
+                }),
+            }],
             elapsed: Duration::from_millis(3),
             worlds: 0,
             samples: 10,
@@ -563,29 +547,8 @@ mod tests {
     }
 
     #[test]
-    fn determinism_classifier() {
-        assert!(is_deterministic(&report(&[
-            "completed with (ε=0.05, δ=0.05) guarantee"
-        ])));
-        assert!(is_deterministic(&report(&[
-            "budget of 100 worlds exhausted after 101",
-            "completed",
-        ])));
-        assert!(!is_deterministic(&report(&[
-            "deadline of 200ms exceeded after 204ms",
-            "completed",
-        ])));
-        assert!(!is_deterministic(&report(&["cancelled by caller"])));
-        assert!(!is_deterministic(&report(&[
-            "panicked: injected fault: runtime.rung.exact.panic",
-            "retrying after 4ms (attempt 2 of 3)",
-            "completed",
-        ])));
-    }
-
-    #[test]
     fn response_body_is_stable_json() {
-        let body = solve_response_body(&report(&["completed"]));
+        let body = solve_response_body(&report());
         let text = String::from_utf8(body).unwrap();
         assert!(text.starts_with("{\"reliability\":0.5,"));
         assert!(text.contains("\"guaranteed\":true"));

@@ -43,7 +43,7 @@ use std::time::{Duration, Instant};
 use qrel_budget::{Budget, QrelError};
 use qrel_eval::FoQuery;
 use qrel_prob::{UnreliableDatabase, UnreliableDatabaseSpec};
-use qrel_runtime::{Method, ProgressHook, Solver};
+use qrel_runtime::{Method, PlanHint, ProgressHook, Solver};
 use qrel_sched::{CancelOutcome, JobCtx, JobState, Priority, SchedConfig, Scheduler, SubmitError};
 use qrel_store::{db_hash_of, live_fact_count, Mutation, Store, StoreError};
 use serde::Value;
@@ -55,8 +55,8 @@ use crate::health::{compute_retry_after, Admission, Breakers, HealthState, RateE
 use crate::http::{read_request, write_response, HttpError, Request, Response};
 use crate::metrics::{render_sched, Metrics};
 use crate::protocol::{
-    error_body, is_deterministic, job_accepted_body, job_list_body, job_status_body,
-    parse_solve_request, solve_response_body, DbRef, ErrorEnvelope,
+    error_body, job_accepted_body, job_list_body, job_status_body, parse_solve_request,
+    solve_response_body, DbRef, ErrorEnvelope,
 };
 
 /// Server configuration. `Default` gives sane local-service values;
@@ -290,9 +290,10 @@ struct SolveTask {
     seed: u64,
     timeout_ms: u64,
     cache_key: CacheKey,
-    /// The cached safe plan for this query/schema, when the plan cache
-    /// had one. The solver's plan rung uses it instead of recompiling.
-    plan: Option<Arc<qrel_plan::Plan>>,
+    /// The plan cache's verdict for this query/schema (a safe plan or a
+    /// decline), for the methods whose ladder has a plan rung. The
+    /// solver's plan rung uses it instead of recompiling.
+    plan: Option<PlanHint>,
 }
 
 /// The terminal outcome of a solve job: the exact HTTP `(status, body)`
@@ -346,14 +347,16 @@ fn execute_solve(ctx: &ExecCtx, task: &SolveTask, job: &JobCtx) -> SolveOutcome 
                 ev.of,
                 ev.method,
                 ev.attempt,
-                ev.note.as_deref().unwrap_or("started")
+                ev.outcome
+                    .as_ref()
+                    .map_or_else(|| "started".into(), ToString::to_string)
             ))
         }));
     if !ctx.self_heal {
         solver = solver.with_rung_retries(0);
     }
     if let Some(plan) = &task.plan {
-        solver = solver.with_plan_hint(Arc::clone(plan));
+        solver = solver.with_plan_hint(plan.clone());
     }
     let started = Instant::now();
     match solver.solve(&task.ud, &task.query, &budget) {
@@ -363,13 +366,13 @@ fn execute_solve(ctx: &ExecCtx, task: &SolveTask, job: &JobCtx) -> SolveOutcome 
             // Breaker accounting: a healed rung panic still answers
             // correctly, but a flapping rung is flapping — it counts
             // toward opening the circuit.
-            if report.trace.iter().any(|s| s.note.contains("panicked")) {
+            if report.panicked() {
                 ctx.breakers.record_failure(task.method);
             } else {
                 ctx.breakers.record_success(task.method);
             }
             let bytes = solve_response_body(&report);
-            if is_deterministic(&report) {
+            if !report.is_machine_dependent() {
                 ctx.cache
                     .insert(task.cache_key.clone(), Arc::new(bytes.clone()));
             }
@@ -1165,7 +1168,7 @@ fn admit_solve(shared: &Shared, req: &Request) -> Result<SolveAdmission, Respons
 
     // Consult the plan cache for the methods whose ladder includes the
     // plan rung. Declines are cached too ("unsafe"); the solver then
-    // skips the rung without recompiling.
+    // skips the rung with the cached reason, without recompiling.
     let (plan, plan_status) = if matches!(sreq.method, Method::Auto | Method::Plan) {
         let schema = schema_fingerprint(&ud);
         let (outcome, status) =
@@ -1173,7 +1176,7 @@ fn admit_solve(shared: &Shared, req: &Request) -> Result<SolveAdmission, Respons
                 .exec
                 .plan_cache
                 .get_or_compile(&cache_key.query, &schema, || qrel_plan::compile(&formula));
-        (outcome.ok(), Some(status))
+        (Some(PlanHint(outcome)), Some(status))
     } else {
         (None, None)
     };

@@ -375,6 +375,104 @@ fn exact_answers_on_a_graph_without_a_certain_witness_are_pinned() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// An inline `R/1, S/2, T/1` spec with three uncertain facts (8 worlds).
+/// `exists x y. (R(x) & S(x, y) & T(y))` over it is the non-hierarchical
+/// H0 shape: the plan rung declines, naming the query's variables, and
+/// the exact rung answers.
+fn h0_solve_body(var: &str, seed: u64) -> String {
+    let database = DatabaseBuilder::new()
+        .universe_size(3)
+        .relation("R", 1)
+        .relation("S", 2)
+        .relation("T", 1)
+        .tuples("R", [vec![0], vec![1]])
+        .tuples("S", [vec![0, 1], vec![1, 2]])
+        .tuples("T", [vec![1], vec![2]])
+        .build();
+    let errors = [
+        ("R", vec![0], "1/4"),
+        ("S", vec![0, 1], "1/3"),
+        ("T", vec![2], "1/5"),
+    ]
+    .into_iter()
+    .map(|(relation, tuple, mu)| qrel::prob::ErrorSpec {
+        relation: relation.into(),
+        tuple,
+        mu: mu.into(),
+    })
+    .collect();
+    let spec = UnreliableDatabaseSpec {
+        database,
+        model: "full".into(),
+        errors,
+    };
+    format!(
+        r#"{{"db":{},"query":"exists {var} y. (R({var}) & S({var}, y) & T(y))","method":"auto","seed":{seed}}}"#,
+        serde_json::to_string(&spec).unwrap()
+    )
+}
+
+#[test]
+fn a_variable_named_panicked_never_trips_the_auto_breaker() {
+    // The plan decline quotes the variable names, so every trace below
+    // contains "panicked". Breakers count typed panic steps only: six
+    // fresh solves (distinct seeds, so none is a cache hit) stay 200
+    // past the five-failure threshold.
+    let (addr, handle, join) = boot(ServerConfig {
+        workers: 2,
+        ..ServerConfig::default()
+    });
+    for seed in 0..6 {
+        let (status, headers, body) =
+            http(addr, "POST", "/v1/solve", &h0_solve_body("panicked", seed));
+        assert_eq!(status, 200, "solve {seed}: {body}");
+        assert_eq!(
+            header(&headers, "X-Qrel-Cache"),
+            Some("miss"),
+            "solve {seed}"
+        );
+        assert!(body.contains(r#""method":"exact""#), "{body}");
+        assert!(
+            body.contains("no root variable among {panicked, y}"),
+            "{body}"
+        );
+    }
+    let (status, _, health) = http(addr, "GET", "/healthz", "");
+    assert_eq!(status, 200, "{health}");
+    assert!(health.contains(r#""status":"ok""#), "{health}");
+    let (_, _, metrics) = http(addr, "GET", "/metrics", "");
+    assert!(
+        metrics.contains("qrel_circuit_state{method=\"auto\"} 0"),
+        "{metrics}"
+    );
+    assert_eq!(metric(&metrics, "qrel_circuit_opens_total"), 0);
+
+    handle.shutdown();
+    join.join().unwrap();
+}
+
+#[test]
+fn a_variable_named_deadline_is_cached_like_any_other() {
+    // The trace quotes the variable `deadline`, but no step tripped on
+    // the clock: the report is deterministic and the repeat is a hit.
+    let (addr, handle, join) = boot(ServerConfig {
+        workers: 2,
+        ..ServerConfig::default()
+    });
+    let body = h0_solve_body("deadline", 7);
+    let (s1, h1, b1) = http(addr, "POST", "/v1/solve", &body);
+    assert_eq!(s1, 200, "{b1}");
+    assert_eq!(header(&h1, "X-Qrel-Cache"), Some("miss"));
+    assert!(b1.contains("no root variable among {deadline, y}"), "{b1}");
+    let (s2, h2, b2) = http(addr, "POST", "/v1/solve", &body);
+    assert_eq!(s2, 200, "{b2}");
+    assert_eq!(header(&h2, "X-Qrel-Cache"), Some("hit"));
+    assert_eq!(b1, b2, "a hit must be byte-identical");
+
+    handle.shutdown();
+    join.join().unwrap();
+}
+
 #[test]
 fn malformed_oversized_and_unroutable_requests() {
     let (addr, handle, join) = boot(uncertain16_config());
