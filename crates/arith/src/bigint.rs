@@ -132,10 +132,6 @@ impl BigInt {
         self.sign == Sign::Negative
     }
 
-    pub fn is_positive(&self) -> bool {
-        self.sign == Sign::Positive
-    }
-
     /// Absolute value.
     pub fn abs(&self) -> BigInt {
         BigInt::from_biguint(self.mag.clone())

@@ -111,11 +111,6 @@ impl BigUint {
         self.limbs.len() == 1 && self.limbs[0] == 1
     }
 
-    /// True iff the value is even. Zero counts as even.
-    pub fn is_even(&self) -> bool {
-        self.limbs.first().is_none_or(|l| l & 1 == 0)
-    }
-
     /// Number of significant bits (`0` for the value 0).
     pub fn bit_length(&self) -> u64 {
         match self.limbs.last() {
@@ -502,12 +497,6 @@ impl BigUint {
         let shift = bits - 64;
         let top = self.shr_bits(shift).to_u64().unwrap();
         (top as f64) * (2f64).powi(shift as i32)
-    }
-
-    /// Internal access to limbs (for Karatsuba-free cross-checks in tests).
-    #[doc(hidden)]
-    pub fn limb_count(&self) -> usize {
-        self.limbs.len()
     }
 }
 

@@ -461,11 +461,6 @@ impl ProbDnfReduction {
         self.coverage.run(samples, rng)
     }
 
-    /// Estimate `ν(φ)` with an explicit sample count (no `(ε, δ)` sizing).
-    pub fn estimate_with_samples<R: Rng>(&self, samples: u64, rng: &mut R) -> f64 {
-        self.coverage.run(samples, rng)
-    }
-
     /// The literal Theorem 5.3 pipeline: Karp–Luby #DNF FPTRAS on the
     /// *full* `φ''`, then recover `ν(φ) = (#̂φ'' − (2^L − Q)) / Q`.
     ///

@@ -12,9 +12,9 @@
 //!   samples, and DNF terms + a thread-safe [`CancelToken`]) that the
 //!   core hot loops observe via cheap `charge`/`checkpoint` calls;
 //! - fragment-based routing plus a **degradation ladder**
-//!   ([`Method::Auto`]): qf fast path → exact enumeration (when `2^u`
-//!   fits a cap) → FPTRAS → padding estimator → naive Monte-Carlo, where
-//!   a budget trip falls through to the next rung instead of failing and
+//!   ([`Method::Auto`]): safe plan → qf fast path → exact enumeration
+//!   (when `2^u` fits a cap) → FPTRAS → direct Monte-Carlo, where a
+//!   budget trip falls through to the next rung instead of failing and
 //!   the final answer carries an explicit [`Confidence`] tag;
 //! - the structured [`QrelError`] taxonomy shared by the whole
 //!   workspace; and

@@ -22,10 +22,11 @@ pub enum Method {
     Exact,
     /// Cor 5.5 FPTRAS via grounding + Karp–Luby (existential/universal).
     Fptras,
-    /// Thm 5.12 padding estimator (any PTIME-evaluable query).
+    /// Thm 5.12 padding estimator (any PTIME-evaluable query). Explicit
+    /// only: `Auto` skips it, since `NaiveMc` earns the same label.
     Padding,
-    /// Naive Monte-Carlo over worlds with the Hoeffding bound — the
-    /// cheapest rung: one shared world estimates all `n^k` tuples at
+    /// Naive Monte-Carlo over worlds with the Hoeffding bound — `Auto`'s
+    /// last resort: one shared world estimates all `n^k` tuples at
     /// once, with no per-tuple `ε` split.
     NaiveMc,
 }
@@ -44,7 +45,8 @@ impl Method {
         Method::NaiveMc,
     ];
 
-    /// The concrete ladder rungs (everything but `Auto`), in ladder order.
+    /// The concrete methods (everything but `Auto`), in ladder order;
+    /// `Auto`'s ladder keeps the ones that apply, never `Padding`.
     pub const RUNGS: &'static [Method] = Method::ALL.split_at(1).1;
 
     /// Position in [`Method::ALL`]. Exhaustive on purpose: a new variant

@@ -31,7 +31,7 @@ pub const DEFAULT_MAX_EXACT_WORLDS: u64 = 1 << 14;
 /// can report where a long solve currently is without polling.
 #[derive(Debug, Clone)]
 pub struct ProgressEvent {
-    /// Zero-based rung index in the ladder.
+    /// Zero-based position in this solve's ladder (not [`Method::index`]).
     pub rung: usize,
     /// Ladder length.
     pub of: usize,
@@ -135,12 +135,12 @@ impl From<Arc<qrel_plan::Plan>> for PlanHint {
 ///
 /// Wraps every method in the workspace behind one
 /// [`Solver::solve`] call: routing (for [`Method::Auto`]) follows the
-/// classify-then-solve pattern — quantifier-free queries take the
-/// Prop 3.1 fast path, small world counts take the Thm 4.2 exact
-/// enumeration, existential/universal queries take the Cor 5.5 FPTRAS,
-/// and everything else falls to the Thm 5.12 padding estimator — while
-/// a tripped [`Budget`] degrades to the next-cheaper method instead of
-/// failing, and a panicking rung is caught and skipped.
+/// classify-then-solve pattern — safe quantified shapes take the plan,
+/// quantifier-free queries the Prop 3.1 fast path, small world counts
+/// the Thm 4.2 exact enumeration, groundable queries the Cor 5.5
+/// FPTRAS, and everything else falls to direct Monte-Carlo — while a
+/// tripped [`Budget`] degrades to the next rung instead of failing, and
+/// a panicking rung is caught and skipped.
 #[derive(Debug, Clone)]
 pub struct Solver {
     method: Method,
@@ -260,13 +260,13 @@ impl Solver {
 
         'ladder: for (i, &method) in ladder.iter().enumerate() {
             let last = i + 1 == ladder.len();
-            // Every rung gets its own seed stream, so a rung's sampling
-            // never depends on how much earlier rungs drew — the answer
-            // is a function of (query, seed, accuracy) alone, not of
-            // thread count or of which rungs happened to run. Retries
-            // reuse the same rung seed: a retried rung that completes
-            // gives the same answer a first-try completion would.
-            let rung_seed = split_seed(self.seed, i as u64);
+            // Every method gets its own seed stream, keyed on its table
+            // index: a rung's sampling depends on neither earlier rungs'
+            // draws nor the rungs the ladder kept, so `--method X` equals
+            // what `Auto` gets from rung X. Retries reuse the same seed
+            // (and draw their backoff jitter from it): a retried rung
+            // that completes gives the same answer a first try would.
+            let rung_seed = split_seed(self.seed, method.index() as u64);
             let mut at = ProgressEvent {
                 rung: i,
                 of: ladder.len(),
@@ -312,9 +312,7 @@ impl Solver {
                         // jittered backoff while deadline remains,
                         // instead of burning the whole rung.
                         if at.attempt <= self.rung_retries {
-                            if let Some(pause) =
-                                retry_backoff(self.seed, i as u64, at.attempt - 1, budget)
-                            {
+                            if let Some(pause) = retry_backoff(rung_seed, at.attempt - 1, budget) {
                                 let retry = RungOutcome::Retrying {
                                     pause,
                                     attempt: at.attempt + 1,
@@ -369,8 +367,9 @@ impl Solver {
 
     /// Build the rung sequence for this query. Explicit methods get a
     /// one-rung ladder; `Auto` keeps the [`Method::RUNGS`] that apply to
-    /// the query's fragment and world count, in table order — so a rung's
-    /// position, and with it its `split_seed` stream, is fixed by the table.
+    /// the query's fragment and world count, in table order. A rung's
+    /// `split_seed` stream is keyed on its [`Method::index`], not on its
+    /// position here, so filtering never moves a stream.
     fn ladder(&self, ud: &UnreliableDatabase, query: &FoQuery, budget: &Budget) -> Vec<Method> {
         if self.method != Method::Auto {
             return vec![self.method];
@@ -403,7 +402,10 @@ impl Solver {
                 Method::Qf => qf,
                 Method::Exact => !qf && fits,
                 Method::Fptras => groundable,
-                Method::Padding | Method::NaiveMc => true,
+                // Thm 5.12's padding earns the absolute (ε, δ) label of
+                // direct Monte-Carlo, the last resort, from more samples.
+                Method::Padding => false,
+                Method::NaiveMc => true,
             })
             .collect()
     }
@@ -431,8 +433,9 @@ impl Solver {
             Method::Qf => self.run_qf(ud, query, budget),
             Method::Exact => self.run_exact(ud, query, budget, threads),
             Method::Fptras => self.run_fptras(ud, query, budget, seed, threads),
-            Method::Padding => self.run_padding(ud, query, budget, seed, threads),
-            Method::NaiveMc => self.run_naive_mc(ud, query, budget, seed, threads),
+            Method::Padding | Method::NaiveMc => {
+                self.run_worlds(method, ud, query, budget, seed, threads)
+            }
         }
     }
 
@@ -579,56 +582,35 @@ impl Solver {
         }
     }
 
-    fn run_padding(
+    /// A world-sampling rung: Thm 5.12 padding, or direct Monte-Carlo
+    /// ([`direct_reliability_budgeted`]), where one sampled world serves
+    /// every tuple, so a single Hoeffding bound covers the reliability.
+    fn run_worlds(
         &self,
+        method: Method,
         ud: &UnreliableDatabase,
         query: &FoQuery,
         budget: &Budget,
         seed: u64,
         threads: usize,
     ) -> Result<Rung, QrelError> {
-        let outcome = PaddingEstimator::default_xi().estimate_reliability_budgeted(
-            ud, query, self.eps, self.delta, budget, seed, threads,
-        )?;
-        Ok(
-            self.sampled(outcome, |eps, delta, worlds| Completion::Padding {
-                eps,
-                delta,
-                worlds,
-            }),
-        )
-    }
-
-    /// Direct Monte-Carlo ([`direct_reliability_budgeted`]): one sampled
-    /// world serves every tuple, so a single Hoeffding bound covers the
-    /// reliability itself — the cheapest rung.
-    fn run_naive_mc(
-        &self,
-        ud: &UnreliableDatabase,
-        query: &FoQuery,
-        budget: &Budget,
-        seed: u64,
-        threads: usize,
-    ) -> Result<Rung, QrelError> {
-        let outcome =
-            direct_reliability_budgeted(ud, query, self.eps, self.delta, budget, seed, threads)?;
-        Ok(
-            self.sampled(outcome, |eps, delta, worlds| Completion::NaiveMc {
-                eps,
-                delta,
-                worlds,
-            }),
-        )
-    }
-
-    /// A world-sampling rung's result; `done` builds its completion from
-    /// (ε, δ, worlds sampled).
-    fn sampled(&self, outcome: PaddingOutcome, done: fn(f64, f64, u64) -> Completion) -> Rung {
-        match outcome {
-            PaddingOutcome::Complete(rep) => Rung::Done(
-                Answer::sampled(rep.estimate, self.eps, self.delta),
-                done(self.eps, self.delta, rep.samples),
-            ),
+        let (eps, delta) = (self.eps, self.delta);
+        let outcome = if method == Method::Padding {
+            PaddingEstimator::default_xi()
+                .estimate_reliability_budgeted(ud, query, eps, delta, budget, seed, threads)?
+        } else {
+            direct_reliability_budgeted(ud, query, eps, delta, budget, seed, threads)?
+        };
+        Ok(match outcome {
+            PaddingOutcome::Complete(rep) => {
+                let worlds = rep.samples;
+                let done = if method == Method::Padding {
+                    Completion::Padding { eps, delta, worlds }
+                } else {
+                    Completion::NaiveMc { eps, delta, worlds }
+                };
+                Rung::Done(Answer::sampled(rep.estimate, eps, delta), done)
+            }
             PaddingOutcome::Exhausted {
                 partial_estimate,
                 samples,
@@ -637,7 +619,7 @@ impl Solver {
                 let answer = (samples > 0).then(|| Answer::partial(partial_estimate, None, &cause));
                 Rung::Degraded(answer, cause)
             }
-        }
+        })
     }
 
     fn report(
@@ -682,17 +664,16 @@ pub const MAX_RUNG_RETRIES: u32 = 2;
 /// Deadline-aware jittered backoff before retrying a panicked rung.
 ///
 /// The pause doubles per attempt from a 4ms base and carries a
-/// deterministic jitter drawn from `split_seed` over (solver seed, rung
-/// index, attempt) — same inputs, same pause, so a replayed chaos run
-/// sleeps identically. Returns `None` (don't retry) when the budget is
-/// already tripped or the pause would eat more than half the remaining
-/// deadline.
-fn retry_backoff(seed: u64, rung: u64, attempt: u32, budget: &Budget) -> Option<Duration> {
+/// deterministic jitter drawn from `split_seed` over (rung seed,
+/// attempt) — same inputs, same pause, so a replayed chaos run sleeps
+/// identically. Returns `None` (don't retry) when the budget is already
+/// tripped or the pause would eat more than half the remaining deadline.
+fn retry_backoff(rung_seed: u64, attempt: u32, budget: &Budget) -> Option<Duration> {
     if budget.probe().is_err() {
         return None;
     }
     let base = 4u64 << attempt.min(6);
-    let jitter = split_seed(split_seed(seed, 0x9A5E ^ rung), attempt as u64) % base;
+    let jitter = split_seed(split_seed(rung_seed, 0x9A5E), attempt as u64) % base;
     let pause = Duration::from_millis(base + jitter);
     if let Some(left) = budget.time_left() {
         if pause > left / 2 {
@@ -908,6 +889,59 @@ mod tests {
             "fptras answer {} vs oracle {oracle}",
             report.reliability
         );
+    }
+
+    #[test]
+    fn an_explicit_method_equals_autos_answer_from_that_rung() {
+        // Serialize against fault-armed tests (arming is process-global).
+        let _quiet = qrel_faults::quiesce();
+        // The Exact filter drops a rung ahead of each sampling rung, so
+        // their ladder positions differ from their explicit ones; the
+        // seed stream follows the method, so the answers are the same.
+        let ud = wide_ud();
+        for (query, rung) in [
+            ("exists x y. (S(x) & S(y))", Method::Fptras),
+            ("exists x. forall y. (S(x) | !S(y))", Method::NaiveMc),
+        ] {
+            let q = FoQuery::parse(query).unwrap();
+            let solve = |method| {
+                Solver::new()
+                    .with_method(method)
+                    .with_accuracy(0.05, 0.05)
+                    .with_max_exact_worlds(100)
+                    .with_seed(7)
+                    .solve(&ud, &q, &Budget::unlimited())
+                    .unwrap()
+            };
+            let (auto, explicit) = (solve(Method::Auto), solve(rung));
+            assert_eq!(auto.method, rung, "{query}: {}", auto.trace_line());
+            assert_eq!(explicit.method, rung);
+            assert_eq!(auto.reliability.to_bits(), explicit.reliability.to_bits());
+            assert_eq!(auto.confidence, explicit.confidence);
+            assert_eq!(auto.samples, explicit.samples, "{query}");
+        }
+    }
+
+    #[test]
+    fn auto_answers_a_non_groundable_query_from_mc_not_padding() {
+        // Serialize against fault-armed tests (arming is process-global).
+        let _quiet = qrel_faults::quiesce();
+        // ∃∀ is neither existential nor universal, so no FPTRAS: direct
+        // Monte-Carlo earns the (ε, δ) label from one Hoeffding count,
+        // where Thm 5.12's padding drew 86,278 samples on this instance.
+        let ud = wide_ud();
+        let q = FoQuery::parse("exists x. forall y. (S(x) | !S(y))").unwrap();
+        let report = Solver::new()
+            .with_accuracy(0.05, 0.05)
+            .with_max_exact_worlds(100)
+            .solve(&ud, &q, &Budget::unlimited())
+            .unwrap();
+        assert_eq!(report.method, Method::NaiveMc, "{}", report.trace_line());
+        assert!(report.confidence.is_guaranteed());
+        assert!(report.samples <= 86_278 / 50, "{} samples", report.samples);
+        assert!(report.trace.iter().all(|s| s.method != Method::Padding));
+        let oracle = exact_reliability(&ud, &q).unwrap().reliability.to_f64();
+        assert!((report.reliability - oracle).abs() <= 0.05);
     }
 
     #[test]

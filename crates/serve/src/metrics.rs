@@ -140,10 +140,6 @@ impl Metrics {
         self.queue_depth.store(depth as u64, Ordering::Relaxed);
     }
 
-    pub fn cache_hit_count(&self) -> u64 {
-        self.cache_hits.load(Ordering::Relaxed)
-    }
-
     pub fn rejected_count(&self) -> u64 {
         self.rejected.load(Ordering::Relaxed)
     }

@@ -443,10 +443,6 @@ impl ServerHandle {
         self.shared.queue.close();
     }
 
-    pub fn is_shutdown(&self) -> bool {
-        self.shared.shutdown.load(Ordering::SeqCst)
-    }
-
     /// Rendered Prometheus metrics (same text `/metrics` serves).
     pub fn metrics_text(&self) -> String {
         render_metrics(&self.shared)
