@@ -152,7 +152,18 @@ pub struct Budget {
     ticks: Cell<u64>,
     /// First counter trip, latched so [`Budget::probe`] keeps reporting
     /// exhaustion even though rejected charges never commit to a counter.
-    tripped: Cell<Option<Exhausted>>,
+    tripped: Cell<Option<Latch>>,
+}
+
+/// A latched counter trip. Its report reads the counter when asked, so
+/// a trip settled from a shard ([`Budget::settle`]) counts every shard's
+/// spend, not only the spend of the shard that tripped.
+#[derive(Debug, Clone, Copy)]
+struct Latch {
+    resource: Resource,
+    /// Units the tripping charge asked for on top of the counter.
+    refused: u64,
+    limit: Option<u64>,
 }
 
 impl Default for Budget {
@@ -259,15 +270,18 @@ impl Budget {
                 // without over-charging (the `Exhausted` report still
                 // shows the attempted spend). The trip is latched so
                 // `probe` keeps reporting exhaustion afterwards.
-                let err = Exhausted {
+                if self.tripped.get().is_none() {
+                    self.tripped.set(Some(Latch {
+                        resource,
+                        refused: n,
+                        limit: Some(limit),
+                    }));
+                }
+                return Err(Exhausted {
                     resource,
                     spent,
                     limit: Some(limit),
-                };
-                if self.tripped.get().is_none() {
-                    self.tripped.set(Some(err));
-                }
-                return Err(err);
+                });
             }
         }
         cell.set(spent);
@@ -401,6 +415,11 @@ impl Budget {
     /// this budget's counters. Call once per child after its worker
     /// finishes; the accounting is exact — no units are lost or double
     /// counted.
+    ///
+    /// A tripped child exhausts the parent's share too, so its trip is
+    /// latched here, restated against this budget: this budget's cap,
+    /// and this budget's spend plus the units the child was refused.
+    /// Settling in shard order keeps the latched cause deterministic.
     pub fn settle(&self, child: &Budget) {
         self.worlds
             .set(self.worlds.get().saturating_add(child.worlds.get()));
@@ -408,12 +427,43 @@ impl Budget {
             .set(self.samples.get().saturating_add(child.samples.get()));
         self.terms
             .set(self.terms.get().saturating_add(child.terms.get()));
-        // A tripped child exhausts the parent's share too; settling in
-        // shard order keeps the latched cause deterministic.
         if self.tripped.get().is_none() {
-            if let Some(err) = child.tripped.get() {
-                self.tripped.set(Some(err));
+            if let Some(latch) = child.tripped.get() {
+                self.tripped.set(Some(Latch {
+                    limit: self.cap(latch.resource).or(latch.limit),
+                    ..latch
+                }));
             }
+        }
+    }
+
+    /// The cap on a counter resource, if any.
+    fn cap(&self, resource: Resource) -> Option<u64> {
+        match resource {
+            Resource::Worlds => self.max_worlds,
+            Resource::Samples => self.max_samples,
+            Resource::Terms => self.max_terms,
+            Resource::WallClock | Resource::Cancelled => None,
+        }
+    }
+
+    /// The latched counter trip, reported against the counter now.
+    fn latched(&self) -> Option<Exhausted> {
+        self.tripped.get().map(|latch| Exhausted {
+            resource: latch.resource,
+            spent: self.spent(latch.resource).saturating_add(latch.refused),
+            limit: latch.limit,
+        })
+    }
+
+    /// `cause`, a trip one of this budget's shards ([`Budget::split`])
+    /// reported, as this budget reports it once every shard is settled:
+    /// a counter trip reads this budget's cap and total spend; a clock
+    /// or cancellation trip is unchanged.
+    pub fn settled_cause(&self, cause: Exhausted) -> Exhausted {
+        match self.latched() {
+            Some(latched) if latched.resource == cause.resource => latched,
+            _ => cause,
         }
     }
 
@@ -428,7 +478,7 @@ impl Budget {
                 limit: None,
             });
         }
-        if let Some(err) = self.tripped.get() {
+        if let Some(err) = self.latched() {
             return Err(err);
         }
         for (resource, spent, limit) in [
@@ -622,6 +672,42 @@ mod tests {
         let healthy = Budget::unlimited();
         parent.settle(&healthy);
         assert_eq!(parent.probe().unwrap_err().resource, Resource::Worlds);
+    }
+
+    #[test]
+    fn a_settled_shard_trip_reads_the_parents_cap_and_total_spend() {
+        // Serialize against fault-armed tests (arming is process-global).
+        let _quiet = qrel_faults::quiesce();
+        let parent = Budget::unlimited().with_max_samples(10);
+        let children = parent.split(4);
+        // Caps 3, 3, 2, 2: every shard spends its cap, shard 1 trips.
+        let mut causes = Vec::new();
+        for (i, child) in children.iter().enumerate() {
+            for _ in 0..child.remaining(Resource::Samples).unwrap() {
+                child.charge(Resource::Samples, 1).unwrap();
+            }
+            if i == 1 {
+                causes.push(child.charge(Resource::Samples, 1).unwrap_err());
+            }
+        }
+        assert_eq!(
+            causes[0].to_string(),
+            "budget of 3 samples exhausted after 4"
+        );
+        for child in &children {
+            parent.settle(child);
+        }
+        let err = parent.probe().unwrap_err();
+        assert_eq!(err.to_string(), "budget of 10 samples exhausted after 11");
+        assert_eq!(parent.settled_cause(causes[0]), err);
+        assert_eq!(parent.spent(Resource::Samples), 10);
+        // A clock trip is not restated.
+        let clock = Exhausted {
+            resource: Resource::WallClock,
+            spent: 5,
+            limit: Some(4),
+        };
+        assert_eq!(parent.settled_cause(clock), clock);
     }
 
     #[test]

@@ -238,7 +238,8 @@ fn report(ud: &UnreliableDatabase, k: usize, h: BigRational, worlds: u64) -> Exa
 /// across shards, so both a complete and a world-capped run are
 /// identical for every thread count; only wall-clock and cancellation
 /// trips remain scheduling-dependent. The first trip cause *in shard
-/// order* is reported.
+/// order* is reported, restated against the parent budget's cap and
+/// spend.
 pub fn exact_reliability_budgeted(
     ud: &UnreliableDatabase,
     query: &(dyn Query + Sync),
@@ -286,7 +287,7 @@ pub fn exact_reliability_budgeted(
             partial_expected_error: h,
             mass_visited: over_g(&sums.mass, &g),
             worlds: sums.worlds,
-            cause,
+            cause: budget.settled_cause(cause),
         });
     }
     Ok(ExactOutcome::Complete(report(ud, k, h, sums.worlds)))

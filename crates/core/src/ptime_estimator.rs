@@ -263,7 +263,7 @@ impl PaddingEstimator {
     /// worlds and returns a bit-identical estimate for every thread
     /// count (wall-clock and cancellation trips remain
     /// scheduling-dependent). The first trip cause *in shard order* is
-    /// reported.
+    /// reported, restated against the parent budget's cap and spend.
     #[allow(clippy::too_many_arguments)]
     pub fn estimate_reliability_budgeted(
         &self,
@@ -351,7 +351,7 @@ impl PaddingEstimator {
             Some(cause) => Ok(PaddingOutcome::Exhausted {
                 partial_estimate: reliability,
                 samples: drawn,
-                cause,
+                cause: budget.settled_cause(cause),
             }),
             None => Ok(PaddingOutcome::Complete(PtimeEstimate {
                 estimate: reliability,
@@ -443,7 +443,7 @@ pub fn direct_reliability_budgeted(
         Some(cause) => PaddingOutcome::Exhausted {
             partial_estimate: estimate,
             samples: drawn,
-            cause,
+            cause: budget.settled_cause(cause),
         },
     })
 }

@@ -31,15 +31,29 @@ impl TryFrom<RawDatabase> for Database {
     type Error = String;
 
     fn try_from(raw: RawDatabase) -> Result<Self, String> {
-        if raw.relations.len() != raw.vocab.len() {
+        Database::from_parts(raw.vocab, raw.universe, raw.relations)
+    }
+}
+
+impl Database {
+    /// The database of the three components, cross-validated: one
+    /// relation instance per vocabulary symbol, matching arities, and
+    /// every tuple element inside the universe. Decoders of untrusted
+    /// text build through here.
+    pub fn from_parts(
+        vocab: Vocabulary,
+        universe: Universe,
+        relations: Vec<Relation>,
+    ) -> Result<Self, String> {
+        if relations.len() != vocab.len() {
             return Err(format!(
                 "{} relation instances for {} vocabulary symbols",
-                raw.relations.len(),
-                raw.vocab.len()
+                relations.len(),
+                vocab.len()
             ));
         }
-        let n = raw.universe.len() as u32;
-        for (sym, rel) in raw.vocab.symbols().iter().zip(&raw.relations) {
+        let n = universe.len() as u32;
+        for (sym, rel) in vocab.symbols().iter().zip(&relations) {
             if rel.arity() != sym.arity() {
                 return Err(format!(
                     "relation instance for {} has arity {}",
@@ -58,14 +72,12 @@ impl TryFrom<RawDatabase> for Database {
             }
         }
         Ok(Database {
-            vocab: raw.vocab,
-            universe: raw.universe,
-            relations: raw.relations,
+            vocab,
+            universe,
+            relations,
         })
     }
-}
 
-impl Database {
     /// Empty database (all relations empty) over the given format.
     pub fn empty(vocab: Vocabulary, universe: Universe) -> Self {
         let relations = vocab

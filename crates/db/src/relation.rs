@@ -30,23 +30,23 @@ impl TryFrom<RawRelation> for Relation {
     type Error = String;
 
     fn try_from(raw: RawRelation) -> Result<Self, String> {
-        for t in &raw.tuples {
-            if t.len() != raw.arity {
-                return Err(format!(
-                    "tuple of length {} in a relation of arity {}",
-                    t.len(),
-                    raw.arity
-                ));
-            }
-        }
-        Ok(Relation {
-            arity: raw.arity,
-            tuples: raw.tuples,
-        })
+        Relation::try_from_set(raw.arity, raw.tuples)
     }
 }
 
 impl Relation {
+    /// The relation of `arity` holding `tuples`; fails on a tuple of
+    /// another length. Decoders of untrusted text build through here.
+    pub fn try_from_set(arity: usize, tuples: BTreeSet<Vec<Element>>) -> Result<Self, String> {
+        if let Some(t) = tuples.iter().find(|t| t.len() != arity) {
+            return Err(format!(
+                "tuple of length {} in a relation of arity {arity}",
+                t.len()
+            ));
+        }
+        Ok(Relation { arity, tuples })
+    }
+
     /// Empty relation of the given arity.
     pub fn new(arity: usize) -> Self {
         Relation {

@@ -24,17 +24,23 @@ impl TryFrom<RawUniverse> for Universe {
     type Error = String;
 
     fn try_from(raw: RawUniverse) -> Result<Self, String> {
-        let mut sorted = raw.names.clone();
-        sorted.sort();
-        sorted.dedup();
-        if sorted.len() != raw.names.len() {
-            return Err("duplicate element names in universe".to_string());
-        }
-        Ok(Universe { names: raw.names })
+        Universe::try_from_names(raw.names)
     }
 }
 
 impl Universe {
+    /// The universe of `names`, in order; fails on a repeated name.
+    /// Decoders of untrusted text build through here.
+    pub fn try_from_names(names: Vec<String>) -> Result<Self, String> {
+        let mut sorted: Vec<&str> = names.iter().map(String::as_str).collect();
+        sorted.sort_unstable();
+        sorted.dedup();
+        if sorted.len() != names.len() {
+            return Err("duplicate element names in universe".to_string());
+        }
+        Ok(Universe { names })
+    }
+
     /// Universe of `n` anonymous elements named `e0..e{n-1}`.
     pub fn of_size(n: usize) -> Self {
         Universe {

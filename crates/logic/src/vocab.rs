@@ -54,19 +54,23 @@ impl TryFrom<RawVocabulary> for Vocabulary {
     type Error = String;
 
     fn try_from(raw: RawVocabulary) -> Result<Self, String> {
-        let mut names: Vec<&str> = raw.symbols.iter().map(|s| s.name()).collect();
-        names.sort_unstable();
-        names.dedup();
-        if names.len() != raw.symbols.len() {
-            return Err("duplicate relation names in vocabulary".to_string());
-        }
-        Ok(Vocabulary {
-            symbols: raw.symbols,
-        })
+        Vocabulary::from_symbols(raw.symbols)
     }
 }
 
 impl Vocabulary {
+    /// The vocabulary of `symbols`, in order; fails on a repeated name.
+    /// Decoders of untrusted text build through here.
+    pub fn from_symbols(symbols: Vec<RelationSymbol>) -> Result<Self, String> {
+        let mut names: Vec<&str> = symbols.iter().map(|s| s.name()).collect();
+        names.sort_unstable();
+        names.dedup();
+        if names.len() != symbols.len() {
+            return Err("duplicate relation names in vocabulary".to_string());
+        }
+        Ok(Vocabulary { symbols })
+    }
+
     pub fn new() -> Self {
         Vocabulary {
             symbols: Vec::new(),

@@ -6,7 +6,7 @@
 //! ```json
 //! {
 //!   "dataset": "uncertain16",        // preloaded name … or …
-//!   "db": { …UnreliableDatabaseSpec… },
+//!   "db": { "database": …, "model": …, "errors": […] },  // inline spec
 //!   "query": "exists x. S(x)",
 //!   "free": ["x", "y"],              // optional, default: sorted free vars
 //!   "method": "auto",                // any `Method::ALL` name, e.g. "plan"
@@ -16,24 +16,30 @@
 //! }
 //! ```
 //!
+//! The inline `"db"` is an `UnreliableDatabaseSpec` object with its keys
+//! in any order. It is decoded straight from the body bytes by
+//! [`DecodedSpec`], under the same [`ParseLimits`] (depth and bytes) as
+//! the rest of the body; no `Value` tree of it is built.
+//!
 //! The response body is a *deterministic* function of the request when
 //! no wall-clock trip occurred: it carries no timestamps or elapsed
 //! times (those ride in `X-Qrel-Elapsed-Us` / `/metrics`), so a cached
 //! body is bit-identical to what a fresh solve would serialize.
 
-use qrel_prob::UnreliableDatabaseSpec;
 use qrel_runtime::{Method, SolveReport};
 use qrel_sched::Priority;
+use qrel_store::{DecodeError, DecodedSpec};
 use serde::Value;
-use serde_json::ParseLimits;
+use serde_json::{ParseLimits, Reader};
 
 /// Which database a request targets.
 #[derive(Debug)]
 pub enum DbRef {
     /// A dataset preloaded at server start, by name.
     Named(String),
-    /// An inline spec shipped in the request body.
-    Inline(Box<UnreliableDatabaseSpec>),
+    /// An inline spec shipped in the request body, decoded but not yet
+    /// built (admission builds and hashes it, then drops it).
+    Inline(Box<DecodedSpec>),
 }
 
 /// A validated solve request — the one envelope shared by
@@ -72,34 +78,53 @@ fn as_u64(v: &Value) -> Option<u64> {
 
 /// Parse and validate a `/v1/solve` body. The error string is shipped
 /// back verbatim in a `400` response.
+///
+/// The body is walked once with a [`Reader`]: the inline `"db"` member
+/// is decoded in place by [`DecodedSpec::read`], the other known members
+/// are read as small values. Every check runs after the whole body has
+/// parsed, so malformed JSON anywhere is reported first, as `bad JSON`.
 pub fn parse_solve_request(body: &[u8], limits: ParseLimits) -> Result<SolveRequest, String> {
     let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())?;
-    let mut value: Value =
-        serde_json::from_str_with_limits(text, limits).map_err(|e| format!("bad JSON: {e}"))?;
-    let obj = value
-        .as_object()
-        .ok_or_else(|| format!("body must be a JSON object, got {}", value.kind()))?;
-
-    for (key, _) in obj {
-        if !matches!(
-            key.as_str(),
-            "dataset"
-                | "db"
-                | "query"
-                | "free"
-                | "method"
-                | "eps"
-                | "delta"
-                | "seed"
-                | "timeout_ms"
-                | "tenant"
-                | "priority"
-        ) {
-            return Err(format!("unknown field {key:?}"));
+    let bad_json = |e: serde_json::Error| format!("bad JSON: {e}");
+    let mut r = Reader::new(text, limits).map_err(bad_json)?;
+    if let Err(e) = r.begin_object() {
+        if !e.is_data() {
+            return Err(bad_json(e));
         }
+        let value = r.value().map_err(bad_json)?;
+        r.finish().map_err(bad_json)?;
+        return Err(format!("body must be a JSON object, got {}", value.kind()));
     }
 
-    let db = match (value.get("dataset"), value.get("db")) {
+    // The small members as an object; the last "db" wins, as a repeated
+    // key does in `Value::get`.
+    let mut pairs = Vec::new();
+    let mut db: Option<Result<DecodedSpec, String>> = None;
+    let mut unknown = None;
+    while let Some(key) = r.next_key().map_err(bad_json)? {
+        match &*key {
+            "db" => {
+                db = Some(match DecodedSpec::read(&mut r) {
+                    Ok(spec) => Ok(spec),
+                    Err(DecodeError::Json(e)) => return Err(bad_json(e)),
+                    Err(DecodeError::Spec(m)) => Err(m),
+                })
+            }
+            "dataset" | "query" | "free" | "method" | "eps" | "delta" | "seed" | "timeout_ms"
+            | "tenant" | "priority" => pairs.push((key.into_owned(), r.value().map_err(bad_json)?)),
+            _ => {
+                unknown.get_or_insert_with(|| key.into_owned());
+                r.skip().map_err(bad_json)?;
+            }
+        }
+    }
+    r.finish().map_err(bad_json)?;
+    if let Some(key) = unknown {
+        return Err(format!("unknown field {key:?}"));
+    }
+    let value = Value::Object(pairs);
+
+    let db = match (value.get("dataset"), db) {
         (Some(_), Some(_)) => {
             return Err("give either \"dataset\" or \"db\", not both".into());
         }
@@ -109,21 +134,8 @@ pub fn parse_solve_request(body: &[u8], limits: ParseLimits) -> Result<SolveRequ
                 .ok_or_else(|| "\"dataset\" must be a string".to_string())?;
             DbRef::Named(name.to_string())
         }
-        (None, Some(_)) => {
-            // Move the (large) spec out of the tree rather than copy it;
-            // the last "db" key wins, as in `Value::get`.
-            let Value::Object(pairs) = &mut value else {
-                unreachable!("checked to be an object above")
-            };
-            let (_, spec) = pairs
-                .iter_mut()
-                .rev()
-                .find(|(k, _)| k == "db")
-                .expect("\"db\" is present");
-            let spec: UnreliableDatabaseSpec =
-                serde_json::from_value(std::mem::replace(spec, Value::Null))
-                    .map_err(|e| format!("bad \"db\" spec: {e}"))?;
-            DbRef::Inline(Box::new(spec))
+        (None, Some(spec)) => {
+            DbRef::Inline(Box::new(spec.map_err(|e| format!("bad \"db\" spec: {e}"))?))
         }
         (None, None) => return Err("missing \"dataset\" or \"db\"".into()),
     };
@@ -519,6 +531,181 @@ mod tests {
                 String::from_utf8_lossy(body)
             );
         }
+    }
+
+    /// The admission an inline spec got before the pull decoder, as the
+    /// referee: the whole body parsed into a tree, the last `"db"`
+    /// deserialized, then built and hashed.
+    fn tree_admission(body: &str, limits: ParseLimits) -> Result<u64, String> {
+        let tree = |body| {
+            let mut r = Reader::new(body, limits)?;
+            let value = r.value()?;
+            r.finish().map(|()| value)
+        };
+        let value = tree(body).map_err(|e| format!("bad JSON: {e}"))?;
+        let db = value.get("db").cloned().expect("every case carries a db");
+        let spec: qrel_prob::UnreliableDatabaseSpec =
+            serde_json::from_value(db).map_err(|e| format!("bad \"db\" spec: {e}"))?;
+        let ud = spec.build().map_err(|e| format!("invalid spec: {e}"))?;
+        Ok(qrel_store::db_hash_of(&ud))
+    }
+
+    /// Admission now: [`parse_solve_request`], then build and hash, as
+    /// `admit_solve` does.
+    fn admission(body: &str, limits: ParseLimits) -> Result<u64, String> {
+        let req = parse_solve_request(body.as_bytes(), limits)?;
+        let DbRef::Inline(spec) = req.db else {
+            panic!("{body} names a dataset")
+        };
+        let ud = spec.build().map_err(|e| format!("invalid spec: {e}"))?;
+        Ok(qrel_store::db_hash_of(&ud))
+    }
+
+    /// The outcome class a client sees: the db-hash, or the message's
+    /// prefix (every one of them a `400`).
+    fn class(outcome: &Result<u64, String>) -> Result<u64, &'static str> {
+        match outcome {
+            Ok(hash) => Ok(*hash),
+            Err(m) => Err(["bad JSON", "bad \"db\" spec", "invalid spec"]
+                .into_iter()
+                .find(|p| m.starts_with(p))
+                .unwrap_or_else(|| panic!("unclassified refusal {m:?}"))),
+        }
+    }
+
+    const SPEC: &str = r#"{"database":{"vocab":{"symbols":[{"name":"E","arity":2},{"name":"S","arity":1}]},"universe":{"names":["a","b","c"]},"relations":[{"arity":2,"tuples":[[0,1],[1,2]]},{"arity":1,"tuples":[[2]]}]},"model":"full","errors":[{"relation":"E","tuple":[0,1],"mu":"1/3"},{"relation":"S","tuple":[0],"mu":"1/4"}]}"#;
+
+    fn body_with(spec: &str) -> String {
+        format!(r#"{{"db":{spec},"query":"exists x. S(x)","seed":3}}"#)
+    }
+
+    #[test]
+    fn inline_specs_are_refused_as_the_tree_path_refused_them() {
+        let good = body_with(SPEC);
+        let edits: &[(&str, &str, &str)] = &[
+            // Malformed or wrong-typed text.
+            ("truncated", "", ""),
+            (
+                "database type",
+                r#"{"database":{"vocab""#,
+                r#"{"database":5,"x":{"vocab""#,
+            ),
+            ("errors type", r#""errors":["#, r#""errors":{},"y":["#),
+            ("tuple type", r#""tuple":[0],"#, r#""tuple":"x","#),
+            ("mu type", r#""mu":"1/4""#, r#""mu":3"#),
+            ("names type", r#""names":["a","#, r#""names":[1,"#),
+            ("trailing comma", r#"[[2]]"#, r#"[[2],]"#),
+            // The observed database's own checks.
+            (
+                "relation arity",
+                r#""tuples":[[0,1],[1,2]]"#,
+                r#""tuples":[[0,1,1]]"#,
+            ),
+            (
+                "instance arity",
+                r#"{"arity":1,"tuples":[[2]]}"#,
+                r#"{"arity":2,"tuples":[]}"#,
+            ),
+            ("observed element", r#""tuples":[[2]]"#, r#""tuples":[[3]]"#),
+            ("duplicate names", r#"["a","b","c"]"#, r#"["a","b","a"]"#),
+            (
+                "duplicate symbols",
+                r#"{"name":"S","arity":1}"#,
+                r#"{"name":"E","arity":1}"#,
+            ),
+            ("missing database", r#""database":"#, r#""base":"#),
+            // The fact rule, at build.
+            ("row arity", r#""tuple":[0,1],"#, r#""tuple":[0],"#),
+            ("row element", r#""tuple":[0,1],"#, r#""tuple":[0,9],"#),
+            ("unknown relation", r#""relation":"S""#, r#""relation":"T""#),
+            ("mu above 1", r#""mu":"1/4""#, r#""mu":"3/2""#),
+            ("mu below 0", r#""mu":"1/4""#, r#""mu":"-1/4""#),
+            ("zero denominator", r#""mu":"1/4""#, r#""mu":"1/0""#),
+            ("not a rational", r#""mu":"1/4""#, r#""mu":"x""#),
+            ("unknown model", r#""model":"full""#, r#""model":"half""#),
+            (
+                "positive-only",
+                r#""model":"full""#,
+                r#""model":"positive-only""#,
+            ),
+        ];
+        let limits = limits();
+        assert_eq!(
+            class(&admission(&good, limits)),
+            class(&tree_admission(&good, limits))
+        );
+        assert!(admission(&good, limits).is_ok());
+        for &(name, from, to) in edits {
+            let body = if name == "truncated" {
+                good[..good.len() / 2].to_string()
+            } else {
+                assert!(good.contains(from), "{name}: {from} not in the body");
+                good.replacen(from, to, 1)
+            };
+            let (now, then) = (admission(&body, limits), tree_admission(&body, limits));
+            assert!(now.is_err(), "{name}: accepted");
+            assert_eq!(class(&now), class(&then), "{name}: {now:?} vs {then:?}");
+        }
+        // Past the body limits, on both paths.
+        for tight in [
+            // body → db → database → relations → relation → tuples → tuple
+            ParseLimits {
+                max_depth: 6,
+                ..limits
+            },
+            ParseLimits {
+                max_bytes: good.len() - 1,
+                ..limits
+            },
+        ] {
+            let (now, then) = (admission(&good, tight), tree_admission(&good, tight));
+            assert_eq!(class(&now), Err("bad JSON"), "{tight:?}: {now:?}");
+            assert_eq!(class(&then), Err("bad JSON"), "{tight:?}: {then:?}");
+        }
+        // Exactly at the limits, both accept.
+        let snug = ParseLimits {
+            max_depth: 7,
+            max_bytes: good.len(),
+        };
+        assert_eq!(
+            class(&admission(&good, snug)),
+            class(&tree_admission(&good, snug))
+        );
+        assert!(admission(&good, snug).is_ok());
+    }
+
+    #[test]
+    fn the_last_db_key_wins_and_malformed_text_anywhere_is_bad_json() {
+        let good = body_with(SPEC);
+        let bad_spec = SPEC.replace(r#""tuple":[0],"#, r#""tuple":"x","#);
+        let hash = admission(&good, limits()).unwrap();
+        let last_good = good.replacen(r#"{"db":"#, &format!(r#"{{"db":{bad_spec},"db":"#), 1);
+        let last_bad = good
+            .replacen(r#"{"db":"#, &format!(r#"{{"db":{bad_spec},"db":"#), 1)
+            .replacen(SPEC, "", 1)
+            .replacen(r#""db":,"#, "", 1);
+        for body in [&last_good, &last_bad] {
+            assert_eq!(
+                class(&admission(body, limits())),
+                class(&tree_admission(body, limits())),
+                "{body}"
+            );
+        }
+        assert_eq!(admission(&last_good, limits()), Ok(hash));
+        // A wrong-shaped db before malformed text is still bad JSON.
+        let body = body_with(&bad_spec).replacen(r#""seed":3"#, r#""seed":3,"#, 1);
+        assert_eq!(class(&admission(&body, limits())), Err("bad JSON"));
+        // An escaped μ or relation name decodes to the plain spelling.
+        let escaped = SPEC
+            .replace(r#""mu":"1/3""#, r#""mu":"1\/3""#)
+            .replace(r#""relation":"E""#, r#""relation":"\u0045""#);
+        assert_eq!(admission(&body_with(&escaped), limits()), Ok(hash));
+        // Keys in any order.
+        let reordered = r#"{"seed":3, "query":"exists x. S(x)",
+            "db": {"errors":[{"mu":"1/3","tuple":[0,1],"relation":"E"},{"relation":"S","tuple":[0],"mu":"1/4"}],
+            "database":{"relations":[{"tuples":[[0,1],[1,2]],"arity":2},{"tuples":[[2]],"arity":1}],
+            "universe":{"names":["a","b","c"]},"vocab":{"symbols":[{"arity":2,"name":"E"},{"arity":1,"name":"S"}]}}}}"#;
+        assert_eq!(admission(reordered, limits()), Ok(hash));
     }
 
     fn report() -> SolveReport {

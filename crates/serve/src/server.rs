@@ -42,10 +42,14 @@ use std::time::{Duration, Instant};
 
 use qrel_budget::{Budget, QrelError};
 use qrel_eval::FoQuery;
-use qrel_prob::{UnreliableDatabase, UnreliableDatabaseSpec};
+use qrel_prob::UnreliableDatabase;
 use qrel_runtime::{Method, PlanHint, ProgressHook, Solver};
 use qrel_sched::{CancelOutcome, JobCtx, JobState, Priority, SchedConfig, Scheduler, SubmitError};
-use qrel_store::{db_hash_of, live_fact_count, Mutation, Store, StoreError};
+use qrel_store::decode::member;
+use qrel_store::{
+    db_hash_of, decode_text, live_fact_count, DecodeError, DecodedSpec, FactRows, Mutation,
+    RowShape, Store, StoreError,
+};
 use serde::Value;
 use serde_json::ParseLimits;
 
@@ -697,8 +701,7 @@ impl Server {
 
     fn load_dataset(path: &PathBuf) -> Result<PreparedDb, String> {
         let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-        let spec: UnreliableDatabaseSpec =
-            serde_json::from_str(&text).map_err(|e| format!("bad spec JSON: {e}"))?;
+        let spec = DecodedSpec::parse(&text).map_err(|e| format!("bad spec JSON: {e}"))?;
         let ud = spec.build().map_err(|e| format!("invalid spec: {e}"))?;
         let hash = db_hash_of(&ud);
         let facts = live_fact_count(&ud);
@@ -1529,79 +1532,45 @@ fn store_error_response(e: &StoreError) -> Response {
 }
 
 /// Parse a fact-mutation batch: `{"facts":[{"relation":…,"tuple":[…],
-/// "present":…,"mu":…}]}`. Deletes (`delete == true`) take only
-/// `relation` and `tuple` and become Reset tombstones.
+/// "present":…,"mu":…}]}`, its rows read by [`FactRows`]. Deletes
+/// (`delete == true`) take only `relation` and `tuple` and become Reset
+/// tombstones.
 fn parse_fact_batch(
     body: &[u8],
     limits: ParseLimits,
     delete: bool,
 ) -> Result<Vec<Mutation>, String> {
     let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())?;
-    let value: Value =
-        serde_json::from_str_with_limits(text, limits).map_err(|e| format!("bad JSON: {e}"))?;
-    let obj = value
-        .as_object()
-        .ok_or_else(|| format!("body must be a JSON object, got {}", value.kind()))?;
-    for (key, _) in obj {
-        if key != "facts" {
-            return Err(format!("unknown field {key:?}"));
-        }
-    }
-    let items = value
-        .get("facts")
-        .and_then(|v| v.as_array())
-        .ok_or_else(|| "missing array field \"facts\"".to_string())?;
-    let mut batch = Vec::with_capacity(items.len());
-    for (i, item) in items.iter().enumerate() {
-        let fact = item
-            .as_object()
-            .ok_or_else(|| format!("facts[{i}] must be an object"))?;
-        for (key, _) in fact {
-            let known = match key.as_str() {
-                "relation" | "tuple" => true,
-                "present" | "mu" => !delete,
-                _ => false,
-            };
-            if !known {
-                return Err(format!("unknown field {key:?} in facts[{i}]"));
+    let shape = if delete {
+        RowShape::Delete
+    } else {
+        RowShape::Upsert
+    };
+    let rows = decode_text(text, limits, |r| {
+        let mut facts = None;
+        r.begin_object()?;
+        while let Some(key) = r.next_key()? {
+            if key != "facts" {
+                return Err(DecodeError::Spec(format!("unknown field {key:?}")));
             }
+            facts = Some(member(r, |r| FactRows::read(r, shape))?);
         }
-        let relation = item
-            .get("relation")
-            .and_then(|v| v.as_str())
-            .ok_or_else(|| format!("facts[{i}] needs a string \"relation\""))?;
-        let raw_tuple = item
-            .get("tuple")
-            .and_then(|v| v.as_array())
-            .ok_or_else(|| format!("facts[{i}] needs an array \"tuple\""))?;
-        let mut tuple = Vec::with_capacity(raw_tuple.len());
-        for v in raw_tuple {
-            let e = match v {
-                Value::Int(n) => u32::try_from(*n).ok(),
-                _ => None,
-            }
-            .ok_or_else(|| {
-                format!("facts[{i}].tuple elements must be small non-negative integers")
-            })?;
-            tuple.push(e);
+        match facts {
+            Some(rows) => rows.map_err(|m| DecodeError::Spec(format!("facts: {m}"))),
+            None => Err(DecodeError::Spec("missing array field \"facts\"".into())),
         }
-        if delete {
-            batch.push(Mutation::reset(relation, tuple));
-            continue;
-        }
-        let present = match item.get("present") {
-            None => true,
-            Some(Value::Bool(b)) => *b,
-            Some(_) => return Err(format!("facts[{i}].present must be a boolean")),
-        };
-        let mu = match item.get("mu") {
-            None => "0",
-            Some(Value::Str(s)) => s.as_str(),
-            Some(_) => return Err(format!("facts[{i}].mu must be a string")),
-        };
-        batch.push(Mutation::set(relation, tuple, present, mu));
-    }
-    Ok(batch)
+    })
+    .map_err(|e| match e {
+        DecodeError::Json(e) => format!("bad JSON: {e}"),
+        DecodeError::Spec(m) => m,
+    })?;
+    Ok(rows
+        .iter()
+        .map(|row| match row.present {
+            Some(present) => Mutation::set(row.relation, row.tuple.to_vec(), present, row.mu),
+            None => Mutation::reset(row.relation, row.tuple.to_vec()),
+        })
+        .collect())
 }
 
 /// `POST`/`DELETE /v1/datasets/{name}/facts`: batched fact mutations
@@ -1695,6 +1664,7 @@ fn dataset_facts(shared: &Shared, req: &Request) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qrel_prob::UnreliableDatabaseSpec;
     use std::io::{Read, Write};
 
     /// Raw one-shot HTTP client against a local server.

@@ -194,7 +194,7 @@ fn for_each_live_fact(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
     use qrel_db::{DatabaseBuilder, Fact};
@@ -245,7 +245,7 @@ mod tests {
 
     /// μ strings drawn for the random models: the endpoints, values
     /// past a `u64`, and a non-reduced spelling.
-    const MUS: [&str; 7] = [
+    pub(crate) const MUS: [&str; 7] = [
         "0",
         "1",
         "1/3",
@@ -259,7 +259,7 @@ mod tests {
     /// rows (which may repeat a fact; the later row wins), then
     /// `μ(P) = 1/2`. Under positive-only, rows that would put `μ > 0`
     /// on an absent fact are dropped and `P` is observed.
-    fn random_spec(
+    pub(crate) fn random_spec(
         n: u32,
         observed: &[(bool, u32, u32)],
         errors: &[(bool, u32, u32, usize)],

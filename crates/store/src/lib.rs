@@ -30,6 +30,10 @@
 //! (and the full [`UnreliableDatabase`] model) only from the blocks the
 //! caller actually touches.
 //!
+//! Spec text reaches a model through one decoder, [`DecodedSpec`]
+//! ([`decode`]), which reads JSON straight into the observed database
+//! and its error rows.
+//!
 //! Crash-safety is exercised, not assumed: the fault points
 //! `store.segment.torn_write` and `store.commit.crash` (see
 //! [`qrel_faults::points`]) abort a commit after a partial segment
@@ -40,11 +44,13 @@
 //! [`UnreliableDatabaseSpec`]: qrel_prob::UnreliableDatabaseSpec
 //! [`UnreliableDatabase`]: qrel_prob::UnreliableDatabase
 
+pub mod decode;
 pub mod hash;
 pub mod manifest;
 pub mod segment;
 mod store;
 
+pub use decode::{decode_text, DecodeError, DecodedSpec, FactRows, RowShape};
 pub use hash::{db_hash_of, fact_state_hash, live_fact_count};
 pub use manifest::{DatasetEntry, Manifest, RelDecl, SegmentRef};
 pub use segment::FactOp;

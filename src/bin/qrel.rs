@@ -37,6 +37,7 @@
 
 use qrel::prelude::*;
 use qrel::prob::UnreliableDatabaseSpec;
+use qrel::store::DecodedSpec;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cmp::Ordering;
@@ -130,8 +131,7 @@ impl Options {
 
 fn load_spec(path: &str) -> Result<UnreliableDatabase, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path:?}: {e}"))?;
-    let spec: UnreliableDatabaseSpec =
-        serde_json::from_str(&text).map_err(|e| format!("bad spec JSON: {e}"))?;
+    let spec = DecodedSpec::parse(&text).map_err(|e| format!("bad spec JSON: {e}"))?;
     spec.build().map_err(|e| format!("invalid spec: {e}"))
 }
 

@@ -235,6 +235,56 @@ fn tight_budget_degrades_with_trace_and_distinct_exit_code() {
 }
 
 #[test]
+fn a_sharded_rung_trip_names_the_rungs_cap_and_spend() {
+    // The mc rung gets half of --max-samples 1000 and draws it over 16
+    // shards of ~32 samples each; its trip must read the rung's cap and
+    // total spend, as the fptras step's does, not one shard's share.
+    let spec = concat!(env!("CARGO_MANIFEST_DIR"), "/data/uncertain16.json");
+    let (code, stdout, stderr) = qrel_code(&[
+        "reliability",
+        "--db",
+        spec,
+        "--query",
+        "exists x y. (S(x) & S(y))",
+        "--max-worlds",
+        "100",
+        "--max-samples",
+        "1000",
+    ]);
+    assert_eq!(code, Some(2), "{stdout}{stderr}");
+    assert!(
+        stdout.contains(
+            "method: mc   confidence: partial: budget of 500 samples exhausted after 501\n"
+        ),
+        "{stdout}"
+    );
+    assert!(
+        stdout.contains(
+            "fell back to fptras → budget of 500 samples exhausted after 501 → \
+             fell back to mc → budget of 500 samples exhausted after 501\n"
+        ),
+        "{stdout}"
+    );
+    // The exact enumerator shards its world walk the same way.
+    let (code, stdout, stderr) = qrel_code(&[
+        "reliability",
+        "--db",
+        spec,
+        "--query",
+        "exists x y. (S(x) & S(y))",
+        "--method",
+        "exact",
+        "--max-worlds",
+        "100",
+    ]);
+    assert_eq!(code, Some(2), "{stdout}{stderr}");
+    assert!(
+        stdout.contains("trace: tried exact → budget of 100 worlds exhausted after 101\n"),
+        "{stdout}"
+    );
+}
+
+#[test]
 fn explicit_exact_method_stays_exact_exit_zero() {
     let spec = write_example_spec();
     let (code, stdout, stderr) = qrel_code(&[
