@@ -92,6 +92,23 @@ impl BigRational {
         Self::new_raw(BigInt::from_i64(numer), BigUint::from_u64(denom))
     }
 
+    /// Construct `numer / denom` from machine words, reduced by a word
+    /// gcd before any limb is allocated.
+    ///
+    /// # Panics
+    /// Panics if `denom` is zero.
+    pub fn from_u128_ratio(numer: u128, denom: u128) -> Self {
+        assert!(denom != 0, "rational with zero denominator");
+        if numer == 0 {
+            return BigRational::zero();
+        }
+        let g = gcd_u128(numer, denom);
+        BigRational {
+            numer: BigInt::from_biguint(BigUint::from_u128(numer / g)),
+            denom: BigUint::from_u128(denom / g),
+        }
+    }
+
     /// Construct the integer `v`.
     pub fn from_int(v: i64) -> Self {
         BigRational {
@@ -415,6 +432,22 @@ impl Neg for BigRational {
     }
 }
 
+/// Binary gcd of two nonzero words.
+fn gcd_u128(mut a: u128, mut b: u128) -> u128 {
+    let common = (a | b).trailing_zeros();
+    a >>= a.trailing_zeros();
+    loop {
+        b >>= b.trailing_zeros();
+        if a > b {
+            std::mem::swap(&mut a, &mut b);
+        }
+        b -= a;
+        if b == 0 {
+            return a << common;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -440,6 +473,17 @@ mod tests {
         assert_eq!(r(2, 3) * r(3, 4), r(1, 2));
         assert_eq!(r(1, 2) / r(1, 4), r(2, 1));
         assert_eq!(r(1, 2) / r(-1, 4), r(-2, 1));
+    }
+
+    #[test]
+    fn from_u128_ratio_reduces_like_from_ratio() {
+        for (n, d) in [(0u128, 5u128), (6, 4), (7, 7), (12, 18), (1 << 70, 3 << 69)] {
+            let expected = BigRational::new(
+                BigInt::from_biguint(BigUint::from_u128(n)),
+                BigInt::from_biguint(BigUint::from_u128(d)),
+            );
+            assert_eq!(BigRational::from_u128_ratio(n, d), expected, "{n}/{d}");
+        }
     }
 
     #[test]

@@ -6,12 +6,16 @@
 //! enumerator where enumeration is feasible, then races it against the
 //! FPTRAS sampler where it is not: the plan must stay exact, beat the
 //! sampler by ≥ 50x from a few hundred facts on, and keep its time per
-//! fact within a constant factor across sizes. Part 2 drives the serve
-//! layer with a distinct-seed request train and scrapes `/metrics`: one
-//! plan-cache miss (the single compile), everything else hits.
+//! fact within a constant factor across sizes. Part 2 times reliability
+//! of the three one-free-variable safe queries that servebench's
+//! inline_plan workload sends, one row each, on a graph of its size.
+//! Part 3 drives the serve layer with a distinct-seed request train and
+//! scrapes `/metrics`: one plan-cache miss (the single compile),
+//! everything else hits.
 
 use std::net::SocketAddr;
 
+use qrel_arith::BigRational;
 use qrel_bench::{
     fmt_secs, http, percentile, random_graph_db, scrape_counter, serve_uncertain16, timed,
     with_uniform_error, Table,
@@ -20,11 +24,24 @@ use qrel_core::exact::exact_probability;
 use qrel_core::existential::{existential_probability_fptras, Route};
 use qrel_eval::FoQuery;
 use qrel_logic::parser::parse_formula;
+use qrel_prob::UnreliableDatabase;
 use qrel_serve::ServerConfig;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 const REQUESTS: usize = 40;
+
+/// The one-free-variable safe queries of servebench's inline_plan
+/// workload, and its instance: 30 elements, 600 uncertain facts, error
+/// rates with small prime denominators.
+const SAFE_QUERIES: [&str; 3] = [
+    "exists y. (S(x) & E(x, y))",
+    "exists y. (E(x, y) & S(y))",
+    "S(x) & exists y. E(y, x)",
+];
+const INLINE_ELEMENTS: usize = 30;
+const INLINE_FACTS: usize = 600;
+const PRIME_MU: [(i64, u64); 5] = [(1, 3), (2, 7), (1, 11), (3, 13), (1, 10)];
 
 /// Median wall time of up to `TIMING_RUNS` runs of `run`, returning the
 /// last run's result. Runs stop early once they total `TIMING_FLOOR`
@@ -145,7 +162,34 @@ fn main() {
         "plan time per fact must stay within 4x across sizes (spread {spread:.1}x)"
     );
 
-    println!("\npart 2: serve-layer plan cache under a distinct-seed train");
+    println!("\npart 2: the one-free-variable safe queries, timed one by one");
+    let mut rng = StdRng::seed_from_u64(1818);
+    let mut ud = UnreliableDatabase::reliable(random_graph_db(INLINE_ELEMENTS, 0.5, 0.5, &mut rng));
+    let mut chosen: Vec<usize> = (0..ud.indexer().total()).collect();
+    for i in 0..INLINE_FACTS {
+        let j = rng.gen_range(i..chosen.len());
+        chosen.swap(i, j);
+        let (num, den) = PRIME_MU[rng.gen_range(0..PRIME_MU.len())];
+        let fact = ud.indexer().fact_at(chosen[i]);
+        ud.set_error(&fact, BigRational::from_ratio(num, den))
+            .unwrap();
+    }
+    let mut table = Table::new(&["query", "nodes", "reliability", "plan time"]);
+    for src in SAFE_QUERIES {
+        let q = FoQuery::parse(src).unwrap();
+        let plan = qrel_plan::compile(q.formula()).unwrap();
+        let (rep, t) =
+            median_secs(|| qrel_plan::reliability(&ud, &plan, q.formula(), q.free_vars()).unwrap());
+        table.row(&[
+            src.to_string(),
+            plan.node_count().to_string(),
+            format!("{:.6}", rep.reliability.to_f64()),
+            fmt_secs(t),
+        ]);
+    }
+    table.print();
+
+    println!("\npart 3: serve-layer plan cache under a distinct-seed train");
     let (addr, handle, join) = serve_uncertain16(ServerConfig {
         workers: 2,
         ..ServerConfig::default()

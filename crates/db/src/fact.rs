@@ -89,6 +89,12 @@ impl FactIndexer {
         self.n
     }
 
+    /// Dense index of the first fact of `relation`'s block: the fact
+    /// `R(ā)` sits at `offset(R)` plus the mixed-radix rank of `ā`.
+    pub fn offset(&self, relation: usize) -> usize {
+        self.offsets[relation]
+    }
+
     /// Dense index of a fact.
     ///
     /// # Panics

@@ -11,9 +11,13 @@
 //!   negation, `∀` via complement, disjunction, and equality atoms) and
 //!   emits a symbolic [`Plan`] — independent join/union/project plus
 //!   complement over atom leaves;
-//! * [`eval::probability`]/[`eval::reliability`] evaluate a plan
-//!   *exactly* in `BigRational` straight over the fact marginals `ν`,
-//!   never materializing worlds or lineage;
+//! * [`eval::sentence_probability`]/[`eval::reliability`] evaluate a
+//!   plan *exactly* straight over the fact marginals `ν`, never
+//!   materializing worlds or lineage: each call binds the plan to the
+//!   database (relation ids, dense fact offsets, variable slots), then
+//!   walks it in `u128` ratios that fall back to `BigRational` once a
+//!   product overflows; [`eval::reliability_until`] stops at a caller's
+//!   signal with an exact partial sum;
 //! * [`Unsafe`] reports *why* a declined query is outside the safe
 //!   class, so `Method::Auto` can fall back to the enumeration/sampling
 //!   ladder with a diagnosable trace;
@@ -26,9 +30,11 @@ pub mod compile;
 pub mod eval;
 pub mod hierarchy;
 pub mod ir;
+#[cfg(test)]
+mod referee;
 
 pub use compile::{compile, Unsafe};
-pub use eval::{probability, reliability, sentence_probability, PlanReport};
+pub use eval::{reliability, reliability_until, sentence_probability, PlanOutcome, PlanReport};
 pub use hierarchy::pairwise_hierarchical;
 pub use ir::Plan;
 

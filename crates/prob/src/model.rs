@@ -1,9 +1,10 @@
 //! The pair `𝔇 = (𝔄, μ)`, the induced fact probabilities `ν`, and the
 //! one fact rule every dataset source builds `𝔇` through.
 
-use qrel_arith::BigRational;
+use qrel_arith::{BigRational, ParseNumError};
 use qrel_db::{Database, Fact, FactIndexer};
 use qrel_logic::Vocabulary;
+use std::collections::HashMap;
 use std::fmt;
 
 /// Which facts are allowed to carry positive error probability.
@@ -126,6 +127,19 @@ impl FactRule<'_> {
         present: impl FnOnce(&Fact) -> bool,
         mu: &str,
     ) -> Result<(Fact, BigRational), ModelError> {
+        self.check_parsed(relation, tuple, present, mu, || BigRational::parse(mu))
+    }
+
+    /// [`FactRule::check`] with `μ`'s text parsed by `parse`, which is
+    /// called after the relation, arity and range checks pass.
+    fn check_parsed(
+        &self,
+        relation: &str,
+        tuple: &[u32],
+        present: impl FnOnce(&Fact) -> bool,
+        mu: &str,
+        parse: impl FnOnce() -> Result<BigRational, ParseNumError>,
+    ) -> Result<(Fact, BigRational), ModelError> {
         let rel = self
             .vocab
             .index_of(relation)
@@ -145,7 +159,7 @@ impl FactRule<'_> {
             });
         }
         let fact = Fact::new(rel, tuple.to_vec());
-        let p = BigRational::parse(mu).map_err(|e| ModelError::BadProbability {
+        let p = parse().map_err(|e| ModelError::BadProbability {
             fact: fact.display(self.vocab).to_string(),
             mu: mu.to_string(),
             reason: e.to_string(),
@@ -223,13 +237,23 @@ impl UnreliableDatabase {
     ) -> Result<Self, ModelError> {
         let mut ud = UnreliableDatabase::reliable(observed);
         ud.model = model;
+        // Rows repeat a few μ literals: parse each distinct text once.
+        let mut parsed: HashMap<&str, BigRational> = HashMap::new();
         for row in rows {
             let observed = &ud.observed;
-            let (fact, mu) = ud.rule().check(
+            let (fact, mu) = ud.rule().check_parsed(
                 row.relation,
                 row.tuple,
                 |f| row.present.unwrap_or_else(|| observed.holds(f)),
                 row.mu,
+                || match parsed.get(row.mu) {
+                    Some(mu) => Ok(mu.clone()),
+                    None => {
+                        let mu = BigRational::parse(row.mu)?;
+                        parsed.insert(row.mu, mu.clone());
+                        Ok(mu)
+                    }
+                },
             )?;
             let i = ud.indexer.index_of(&fact);
             ud.mu[i] = mu;

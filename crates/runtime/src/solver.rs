@@ -14,6 +14,7 @@ use qrel_core::{
 use qrel_eval::{FoQuery, Query};
 use qrel_logic::Fragment;
 use qrel_par::{resolve_threads, split_seed};
+use qrel_plan::PlanOutcome;
 use qrel_prob::UnreliableDatabase;
 use std::sync::Arc;
 
@@ -445,10 +446,11 @@ impl Solver {
         query: &FoQuery,
         budget: &Budget,
     ) -> Result<Rung, QrelError> {
-        // A cancelled/expired budget degrades before any work is done;
-        // past that point the plan evaluates in one uninterruptible
-        // polynomial pass (it enumerates no worlds and draws no
-        // samples, so the world/sample budgets don't apply).
+        // A cancelled/expired budget degrades before any work is done.
+        // The plan enumerates no worlds and draws no samples, so the
+        // world/sample budgets don't apply; the walk polls the deadline
+        // and the cancel token before every answer tuple and every few
+        // thousand project steps.
         if let Err(cause) = budget.probe() {
             return Ok(Rung::Degraded(None, cause));
         }
@@ -460,11 +462,29 @@ impl Solver {
             Ok(plan) => plan,
             Err(reason) => return Ok(Rung::Skip(Skip::NoSafePlan(reason))),
         };
-        let rep = qrel_plan::reliability(ud, &plan, query.formula(), query.free_vars())?;
-        let done = Completion::Plan {
-            nodes: plan.node_count(),
-        };
-        Ok(Rung::Done(Answer::exact(rep.reliability), done))
+        let outcome =
+            qrel_plan::reliability_until(ud, &plan, query.formula(), query.free_vars(), || {
+                budget.probe()
+            })?;
+        match outcome {
+            PlanOutcome::Complete(rep) => {
+                let done = Completion::Plan {
+                    nodes: plan.node_count(),
+                };
+                Ok(Rung::Done(Answer::exact(rep.reliability), done))
+            }
+            PlanOutcome::Stopped {
+                partial_expected_error,
+                tuples_done,
+                tuples_total,
+                cause,
+            } => Ok(degraded_by_tuples(
+                &partial_expected_error,
+                tuples_done,
+                tuples_total,
+                cause,
+            )),
+        }
     }
 
     fn run_qf(
@@ -488,13 +508,12 @@ impl Solver {
                 tuples_done,
                 tuples_total,
                 cause,
-            } => {
-                let nk = tuples_total.max(1) as f64;
-                let lo_h = partial_expected_error.to_f64();
-                let hi_h = lo_h + (tuples_total - tuples_done) as f64;
-                let answer = (tuples_done > 0).then(|| bracketed(lo_h, hi_h, nk, &cause));
-                Ok(Rung::Degraded(answer, cause))
-            }
+            } => Ok(degraded_by_tuples(
+                &partial_expected_error,
+                tuples_done,
+                tuples_total,
+                cause,
+            )),
         }
     }
 
@@ -642,6 +661,22 @@ impl Solver {
             terms: budget.spent(Resource::Terms),
         }
     }
+}
+
+/// A per-tuple rung (`qf`, `plan`) stopped after `tuples_done` of
+/// `tuples_total` answer tuples with exact partial `H`: each remaining
+/// tuple adds at most 1 to `H`. No answer when no tuple finished.
+fn degraded_by_tuples(
+    partial_expected_error: &BigRational,
+    tuples_done: usize,
+    tuples_total: usize,
+    cause: Exhausted,
+) -> Rung {
+    let nk = tuples_total.max(1) as f64;
+    let lo_h = partial_expected_error.to_f64();
+    let hi_h = lo_h + (tuples_total - tuples_done) as f64;
+    let answer = (tuples_done > 0).then(|| bracketed(lo_h, hi_h, nk, &cause));
+    Rung::Degraded(answer, cause)
 }
 
 /// Reliability bracket from hard bounds on the expected error `H`.
